@@ -30,7 +30,7 @@ from .errors import (
 from .manifold import (
     GrassmannPoint,
     MappingMatrix,
-    MappingMeta,
+    PointStack,
     TangentVector,
     geodesic_distance,
     geodesic_step,
@@ -59,7 +59,6 @@ from .objective import (
     cost_and_grad,
     euclidean_grad,
     reduce_point,
-    riemannian_grad,
 )
 from .optimizer import (
     ArmijoParams,

@@ -23,12 +23,14 @@ from .errors import (
 )
 from .manifold import MappingMatrix, orthonormalize
 from .metrics import MeasureKind
+
+# reduce_point, evaluate: looked up here by perfbench/tracer.py and workloads.py
+from .objective import reduce_point  # noqa: F401
 from .optimizer import ArmijoParams, BetaRule, OptimOptions
-from .objective import reduce_point
-from .pipeline import (
-    LabeledDataset,
+from .pipeline import (  # noqa: F401
     SynthParams,
     _nn_predict,
+    _reduce_dataset,
     evaluate,
     fit,
     gradient_check,
@@ -192,17 +194,12 @@ def cmd_eval(args) -> int:
             raise ValidationError(
                 f"model ambient dim {w.ambient_dim} != dataset {train.ambient_dim}"
             )
-    acc = evaluate(train, test, metric, w)
+    if w is not None:
+        train, test = _reduce_dataset(train, w), _reduce_dataset(test, w)
+    # one nearest-neighbor pass gives both the accuracy and the predictions
+    labels, _, values = _nn_predict(train, test.samples, metric)
+    acc = sum(1 for p, t in zip(labels, test.labels) if p == t) / test.size
     if args.preds:
-        tr_red, te_samples = train, list(test.samples)
-        if w is not None:
-            tr_red = LabeledDataset(
-                tuple(reduce_point(w, x) for x in train.samples),
-                train.labels,
-                train.provenance,
-            )
-            te_samples = [reduce_point(w, x) for x in test.samples]
-        labels, _, values = _nn_predict(tr_red, te_samples, metric)
         with open(args.preds, "w", encoding="utf-8") as fh:
             fh.write("id,true,pred,nn_distance\n")
             for pid, true, pred, value in zip(
@@ -362,7 +359,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except GgdrError as exc:

@@ -17,8 +17,8 @@ import warnings
 
 import numpy as np
 
-from .errors import DataFormatError, NumericalHealthWarning
-from .manifold import GrassmannPoint, MappingMatrix, orthonormalize
+from .errors import DataFormatError, DimensionMismatch, NumericalHealthWarning
+from .manifold import MappingMatrix, PointStack, orthonormalize
 from .pipeline import LabeledDataset, build_subspace
 
 MANIFEST_NAME = "manifest.tsv"
@@ -58,10 +58,18 @@ def read_matrix_csv(path) -> np.ndarray:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
     if not rows:
         raise DataFormatError(f"{path}: empty matrix file")
-    return np.array(rows, dtype=np.float64)
+    matrix = np.array(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(matrix))
+    if len(bad):
+        row, col = bad[0]
+        raise DataFormatError(
+            f"{path}: non-finite value {matrix[row, col]!r} in row {row + 1}, "
+            f"column {col + 1}"
+        )
+    return matrix
 
 
-def _load_basis(path, matrix: np.ndarray) -> GrassmannPoint:
+def _load_basis(path, matrix: np.ndarray) -> np.ndarray:
     d_ambient, order = matrix.shape
     if order >= d_ambient:
         raise DataFormatError(
@@ -83,15 +91,18 @@ def _load_basis(path, matrix: np.ndarray) -> GrassmannPoint:
     # always pass through QR so the loaded point meets the strict invariant;
     # below the accept rung this is a no-op up to roundoff
     q, _ = orthonormalize(matrix)
-    return GrassmannPoint(q)
+    return q
 
 
 def load_dataset(directory, order: int | None = None) -> LabeledDataset:
-    """Read a dataset directory; ``order`` is required if any sample is raw."""
+    """Read a dataset directory; ``order`` is required if any sample is raw.
+
+    The bases go straight into one (N, D, n) array, the dataset's only copy.
+    """
     manifest = os.path.join(directory, MANIFEST_NAME)
     if not os.path.isfile(manifest):
         raise DataFormatError(f"missing {manifest}")
-    samples, labels, provenance = [], [], []
+    entries = []
     with open(manifest, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -107,27 +118,36 @@ def load_dataset(directory, order: int | None = None) -> LabeledDataset:
             path = os.path.join(directory, rel_path)
             if not os.path.isfile(path):
                 raise DataFormatError(f"{manifest}:{lineno}: no such file {path}")
-            matrix = read_matrix_csv(path)
-            if mode == "basis":
-                point = _load_basis(path, matrix)
-            elif mode == "raw":
-                if order is None:
-                    raise DataFormatError(
-                        f"{manifest}:{lineno}: raw sample requires a subspace "
-                        "order (pass --order)"
-                    )
-                point = build_subspace(matrix, order)
-            else:
+            if mode not in ("basis", "raw"):
                 raise DataFormatError(
                     f"{manifest}:{lineno}: mode must be 'raw' or 'basis', "
                     f"got {mode!r}"
                 )
-            samples.append(point)
-            labels.append(label)
-            provenance.append(sample_id)
-    if not samples:
+            if mode == "raw" and order is None:
+                raise DataFormatError(
+                    f"{manifest}:{lineno}: raw sample requires a subspace "
+                    "order (pass --order)"
+                )
+            entries.append((sample_id, label, mode, path))
+    if not entries:
         raise DataFormatError(f"{manifest}: no samples listed")
-    return LabeledDataset(tuple(samples), tuple(labels), tuple(provenance))
+    bases = None
+    for k, (_, _, mode, path) in enumerate(entries):
+        matrix = read_matrix_csv(path)
+        if mode == "basis":
+            basis = _load_basis(path, matrix)
+        else:
+            basis = build_subspace(matrix, order).basis
+        if bases is None:
+            bases = np.empty((len(entries),) + basis.shape)
+        elif basis.shape != bases.shape[1:]:
+            raise DimensionMismatch(
+                f"sample {k} has shape {basis.shape}, expected {bases.shape[1:]}"
+            )
+        bases[k] = basis
+    bases.setflags(write=False)
+    ids, labels, _, _ = zip(*entries)
+    return LabeledDataset(PointStack(bases), labels, ids)
 
 
 def save_dataset(directory, ds: LabeledDataset) -> None:

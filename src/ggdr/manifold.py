@@ -30,6 +30,13 @@ RANK_RTOL = 1e-12
 
 
 def _frozen_array(a, dtype=np.float64) -> np.ndarray:
+    """A read-only array of a; a copy unless a and its owners are already read-only."""
+    if isinstance(a, np.ndarray) and a.dtype == dtype:
+        owner = a
+        while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+            owner = owner.base
+        if owner is None:
+            return a
     out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
@@ -66,14 +73,29 @@ class GrassmannPoint:
         return self.basis.shape[1]
 
 
-@dataclass(frozen=True)
-class MappingMeta:
-    """Training configuration recorded on a learned map."""
+class PointStack(tuple):
+    """GrassmannPoints that are views into one read-only (N, D, n) array, ``bases``."""
 
-    ambient_dim: int
-    target_dim: int
-    order: int
-    measure: object  # MeasureKind; kept loose to avoid an import cycle
+    def __new__(cls, bases):
+        bases = _frozen_array(bases)
+        if bases.ndim != 3:
+            raise InvalidShape(f"need an (N, D, n) stack, got shape {bases.shape}")
+        self = super().__new__(cls, map(GrassmannPoint, bases))
+        self.bases = bases
+        return self
+
+    def __reduce__(self):
+        return PointStack, (self.bases,)
+
+
+def stack_bases(points) -> np.ndarray:
+    """The bases of equal-shape points as one (N, D, n) array."""
+    if isinstance(points, PointStack):
+        return points.bases
+    bases = [p.basis for p in points]
+    if len({b.shape for b in bases}) > 1:
+        raise DimensionMismatch("points differ in shape")
+    return np.stack(bases) if bases else np.empty((0, 0, 0))
 
 
 @dataclass(frozen=True)
@@ -85,7 +107,6 @@ class MappingMatrix:
     """
 
     w: np.ndarray
-    meta: MappingMeta | None = None
 
     def __post_init__(self):
         w = _frozen_array(self.w)
@@ -142,25 +163,30 @@ def orthonormalize(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (q, r) with q column-orthonormal, r upper-triangular with strictly
     positive diagonal, and q @ r == m. The positive diagonal makes the
-    factorization unique, hence reproducible across calls.
+    factorization unique, hence reproducible across calls. A stack
+    (..., m, k) is factored matrix by matrix.
 
-    Raises RankDeficient when the smallest singular value of m falls below
-    RANK_RTOL times the largest.
+    Raises RankDeficient when the smallest singular value of m (of any matrix
+    in a stack) falls below RANK_RTOL times the largest.
     """
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] < m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] < m.shape[-1]:
         raise InvalidShape(f"need a tall (or square) matrix, got {m.shape}")
     q, r = np.linalg.qr(m)
     # singular values of r equal those of m; r is small (k x k)
     sv = np.linalg.svd(r, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= RANK_RTOL * sv[0]:
+    bad = (sv[..., 0] == 0.0) | (sv[..., -1] <= RANK_RTOL * sv[..., 0])
+    if np.any(bad):
+        first = int(np.argmax(bad.ravel()))
+        top, low = sv.reshape(-1, sv.shape[-1])[first, [0, -1]]
         raise RankDeficient(
-            f"numerically rank-deficient: sigma_min/sigma_max = "
-            f"{0.0 if sv[0] == 0.0 else sv[-1] / sv[0]:.3e}"
+            ("" if m.ndim == 2 else f"matrix {first} of the stack: ")
+            + f"numerically rank-deficient: sigma_min/sigma_max = "
+            f"{0.0 if top == 0.0 else low / top:.3e}"
         )
-    signs = np.sign(np.diag(r))
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    return q * signs, signs[:, None] * r
+    return q * signs[..., None, :], signs[..., :, None] * r
 
 
 def _clamped_cosines(product: np.ndarray) -> np.ndarray:
@@ -206,27 +232,35 @@ def geodesic_distance(x1: GrassmannPoint, x2: GrassmannPoint) -> float:
     return float(np.linalg.norm(principal_angles(x1, x2)))
 
 
-def geodesic_step(w: MappingMatrix, h: TangentVector, t: float) -> MappingMatrix:
+def geodesic_step(
+    w: MappingMatrix, h: TangentVector, t: float, svd=None
+) -> MappingMatrix:
     """Move along the exact Grassmann geodesic from w in direction h.
 
     With the thin SVD h = U S V^T the geodesic is
         w(t) = w V cos(S t) V^T + U sin(S t) V^T,
     re-orthonormalized afterwards to remove floating-point drift (for a
     near-orthonormal input the positive-diagonal QR is a pure correction; it
-    cannot flip column signs).
+    cannot flip column signs). A caller stepping along one h several times
+    passes ``svd = np.linalg.svd(h.h, full_matrices=False)`` once.
     """
     if h.base.w.shape != w.w.shape:
         raise DimensionMismatch("tangent vector shaped for a different map")
-    u, s, vt = np.linalg.svd(h.h, full_matrices=False)
+    u, s, vt = np.linalg.svd(h.h, full_matrices=False) if svd is None else svd
     cos = np.cos(s * t)
     sin = np.sin(s * t)
     stepped = (w.w @ vt.T) * cos @ vt + (u * sin) @ vt
     q, _ = orthonormalize(stepped)
-    return MappingMatrix(q, meta=w.meta)
+    return MappingMatrix(q)
 
 
 def parallel_transport(
-    hmove: TangentVector, w0: MappingMatrix, hdir: TangentVector, t: float
+    hmove: TangentVector,
+    w0: MappingMatrix,
+    hdir: TangentVector,
+    t: float,
+    svd=None,
+    w1: MappingMatrix | None = None,
 ) -> TangentVector:
     """Transport hmove along the geodesic from w0 in direction hdir.
 
@@ -234,12 +268,17 @@ def parallel_transport(
     hdir = U S V^T,
         tau(hmove) = hmove + ((-w0 V sin(S t) + U cos(S t)) - U) U^T hmove.
     The result is horizontal at the geodesic endpoint and preserves the
-    Frobenius norm (transport is an isometry).
+    Frobenius norm (transport is an isometry). ``svd`` (as for
+    ``geodesic_step``) and the endpoint ``w1 = geodesic_step(w0, hdir, t)``
+    may be passed in when the caller already has them.
     """
     if hmove.h.shape != w0.w.shape or hdir.h.shape != w0.w.shape:
         raise DimensionMismatch("transport arguments have inconsistent shapes")
-    w1 = geodesic_step(w0, hdir, t)
-    u, s, vt = np.linalg.svd(hdir.h, full_matrices=False)
+    if svd is None:
+        svd = np.linalg.svd(hdir.h, full_matrices=False)
+    if w1 is None:
+        w1 = geodesic_step(w0, hdir, t, svd)
+    u, s, vt = svd
     ut_h = u.T @ hmove.h
     rotated = (-(w0.w @ vt.T) * np.sin(s * t) + u * np.cos(s * t)) @ ut_h
     moved = hmove.h - u @ ut_h + rotated

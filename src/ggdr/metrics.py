@@ -22,12 +22,10 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -93,26 +91,6 @@ def _product(q1, q2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return b1.T @ b2, b1, b2
 
 
-def _det_and_inv(a: np.ndarray) -> tuple[float, np.ndarray]:
-    """Determinant and inverse from a single LU factorization."""
-    n = a.shape[0]
-    with warnings.catch_warnings():
-        # exact singularity is caught below via the determinant guard
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    diag = np.diag(lu)
-    det = float(np.prod(diag))
-    if np.count_nonzero(piv != np.arange(n)) % 2:
-        det = -det
-    if not math.isfinite(det) or abs(det) < DET_TOL:
-        raise SingularPair(
-            f"|det(Q1^T Q2)| = {abs(det):.3e} below {DET_TOL:.0e}; "
-            "subspace pair too close to orthogonal for this gradient"
-        )
-    inv = scipy.linalg.lu_solve((lu, piv), np.eye(n), check_finite=False)
-    return det, inv
-
-
 def measure(kind: MeasureKind, q1, q2) -> float:
     """Evaluate one measure between two equal-shape subspace bases."""
     a, _, _ = _product(q1, q2)
@@ -149,7 +127,13 @@ def measure_grad(kind: MeasureKind, q1, q2) -> PairGradient:
     if kind is MeasureKind.PROJECTION_KERNEL_DIST_SQ:
         return PairGradient(-4.0 * (b2 @ (b2.T @ b1)), -4.0 * (b1 @ (b1.T @ b2)))
 
-    det, inv = _det_and_inv(a)
+    det = float(np.linalg.det(a))
+    if not math.isfinite(det) or abs(det) < DET_TOL:
+        raise SingularPair(
+            f"|det(Q1^T Q2)| = {abs(det):.3e} below {DET_TOL:.0e}; "
+            "subspace pair too close to orthogonal for this gradient"
+        )
+    inv = np.linalg.inv(a)
     absdet_grad = abs(det) * inv.T  # d|det A| / dA
 
     if kind is MeasureKind.FUBINI_STUDY:
@@ -175,6 +159,55 @@ def measure_grad(kind: MeasureKind, q1, q2) -> PairGradient:
     raise ValueError(f"unknown measure kind: {kind!r}")
 
 
+# Every measure is f(s) for s = ||A||_F^2 (p, pk) or s = |det A| (fs, bc, bck)
+# of A = Q1^T Q2. Code -> (f(s, n), f'(s)), with the clamps of ``measure``.
+_FROBENIUS = ("p", "pk")
+_TABLE = {
+    "p": (lambda s, n: np.maximum(0.0, n - s), lambda s: -1.0),
+    "pk": (lambda s, n: np.maximum(0.0, 2.0 * n - 2.0 * s), lambda s: -2.0),
+    "fs": (
+        lambda s, n: np.arccos(np.clip(s, 0.0, 1.0)),
+        lambda s: -1.0 / np.sqrt(1.0 - np.minimum(s, 1.0 - DET_TOL) ** 2),
+    ),
+    "bc": (lambda s, n: np.maximum(0.0, 2.0 - 2.0 * s), lambda s: -2.0),
+    "bck": (lambda s, n: np.clip(s * s, 0.0, 1.0), lambda s: 2.0 * s),
+}
+
+
+def _invariant(kind: MeasureKind, a: np.ndarray) -> np.ndarray:
+    if kind.value in _FROBENIUS:
+        return np.sum(a * a, axis=(-2, -1))
+    return np.abs(np.linalg.det(a))
+
+
+def pair_measures(kind: MeasureKind, a: np.ndarray) -> np.ndarray:
+    """``measure`` of every product A = Q1^T Q2 in a stack (..., n, n)."""
+    return _TABLE[kind.value][0](_invariant(kind, a), a.shape[-1])
+
+
+def pair_measure_grads(kind: MeasureKind, a: np.ndarray):
+    """Measures, gradients dL/dA, and a mask of the pairs that have one.
+
+    For a stack of products A = Q1^T Q2 (P, n, n); dL/dQ1 = Q2 dA^T and
+    dL/dQ2 = Q1 dA. As in ``measure_grad``, a pair with |det A| below
+    DET_TOL (or not finite) has no determinant-based gradient: its mask
+    entry is False and its dA zero; Fubini-Study clamps are counted.
+    """
+    value, slope = _TABLE[kind.value]
+    s = _invariant(kind, a)
+    if kind.value in _FROBENIUS:
+        da = 2.0 * np.reshape(slope(s), (-1, 1, 1)) * a
+        return value(s, a.shape[-1]), da, np.ones(len(a), dtype=bool)
+    ok = np.isfinite(s) & (s >= DET_TOL)
+    if kind is MeasureKind.FUBINI_STUDY:
+        clamped = np.count_nonzero(s[ok] > 1.0 - DET_TOL)
+        _health["fubini_study_grad_clamped"] += int(clamped)
+    da = np.zeros_like(a)
+    # d|det A|/dA = |det A| A^{-T}
+    da[ok] = (slope(s[ok]) * s[ok])[:, None, None] * np.linalg.inv(a[ok]).mT
+    return value(s, a.shape[-1]), da, ok
+
+
 def atril(a: np.ndarray) -> np.ndarray:
     """Skew part assembled from the strictly lower triangle: L - L^T."""
     a = np.asarray(a, dtype=np.float64)
@@ -185,29 +218,24 @@ def atril(a: np.ndarray) -> np.ndarray:
 
 
 def btril(a: np.ndarray) -> np.ndarray:
-    """Adjoint of ``atril``: strictly-lower(A) - strictly-lower(A^T)."""
+    """Adjoint of ``atril``: strictly-lower(A) - strictly-lower(A^T), matrix-wise."""
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise NotSquare(f"need a square matrix, got {a.shape}")
-    return np.tril(a, -1) - np.tril(a.T, -1)
+    return np.tril(a, -1) - np.tril(a.mT, -1)
 
 
 def qr_pullback(
-    x: np.ndarray,
-    q: np.ndarray,
-    r: np.ndarray,
-    dq: np.ndarray,
-    dr: np.ndarray | None = None,
+    x: np.ndarray, q: np.ndarray, r: np.ndarray, dq: np.ndarray
 ) -> np.ndarray:
-    """Pull a gradient in (Q, R) back through the QR factorization of x.
+    """Pull a gradient in Q back through the QR factorization of x.
 
-    Given x = q r (positive-diagonal convention) and dL/dQ, dL/dR, returns
+    Given x = q r (positive-diagonal convention) and the incoming gradient
+    dQbar = dL/dQ of a function of the Q factor alone, returns
 
-        dL/dX = ((I - Q Q^T) dQbar + Q btril(Q^T dQbar)) R^{-T}
-                + Q (dRbar - btril(dRbar R^T) R^{-T})
+        dL/dX = ((I - Q Q^T) dQbar + Q btril(Q^T dQbar)) R^{-T}.
 
-    where dQbar, dRbar are the incoming gradients. The R path is included
-    for completeness; measures of the Q factor alone have dRbar = 0.
+    A stack (..., m, k) is handled matrix by matrix.
     """
     x = np.asarray(x, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -215,27 +243,17 @@ def qr_pullback(
     dq = np.asarray(dq, dtype=np.float64)
     if x.shape != q.shape or x.shape != dq.shape:
         raise DimensionMismatch("x, q, dq must share the m x k shape")
-    k = r.shape[0]
-    if r.shape != (k, k) or q.shape[1] != k:
+    k = q.shape[-1]
+    if r.shape != q.shape[:-2] + (k, k):
         raise DimensionMismatch("r must be k x k matching q's column count")
-    rdiag = np.abs(np.diag(r))
-    if rdiag.min() <= RANK_RTOL * rdiag.max():
+    rdiag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    if np.any(rdiag.min(axis=-1) <= RANK_RTOL * rdiag.max(axis=-1)):
         raise SingularR("triangular factor numerically singular")
-
-    def _times_rinv_t(mat: np.ndarray) -> np.ndarray:
-        # mat @ R^{-T} via one triangular solve
-        return scipy.linalg.solve_triangular(
-            r, mat.T, lower=False, check_finite=False
-        ).T
-
-    qt_dq = q.T @ dq
-    out = _times_rinv_t(dq - q @ qt_dq + q @ btril(qt_dq))
-    if dr is not None:
-        dr = np.asarray(dr, dtype=np.float64)
-        if dr.shape != (k, k):
-            raise DimensionMismatch("dr must be k x k")
-        out = out + q @ (dr - _times_rinv_t(btril(dr @ r.T)))
-    return out
+    qt_dq = q.mT @ dq
+    rhs = dq - q @ qt_dq + q @ btril(qt_dq)
+    # rhs @ R^{-T}; R has no entries below the diagonal for LU to pivot on,
+    # so this is one triangular back substitution per matrix
+    return np.linalg.solve(r, rhs.mT).mT
 
 
 def _as_map(w) -> np.ndarray:

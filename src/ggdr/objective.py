@@ -6,10 +6,12 @@ valid points of G(n, d). The cost sums the chosen measure over the signed
 neighbor-graph pairs; the kernel measure's contribution is negated by default
 so that within-class similarity is maximized rather than minimized.
 
-The Euclidean gradient chains each pair's measure gradient through the QR
-normalization and back to W; by linearity the pullback runs once per sample,
-not once per pair. Projecting onto the horizontal space at W gives the
-Riemannian gradient used by the optimizer.
+Every evaluation works on stacked arrays: one batched W^T X, one batched QR
+of the samples that touch a pair, and the pair products Q_i^T Q_j as
+(P, n, n) stacks in chunks of bounded memory. The Euclidean gradient
+scatter-adds each pair's gradient onto its two samples, pulls the sums back
+through the QR in one batch (by linearity, once per sample, not once per
+pair) and sums X_i dY_i^T over the samples.
 """
 
 from __future__ import annotations
@@ -19,19 +21,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .affinity import AffinityGraph
-from .errors import DimensionMismatch, InvalidShape, RankDeficient, SingularPair
-from .manifold import GrassmannPoint, MappingMatrix, TangentVector, orthonormalize
-from .metrics import (
+from .errors import DimensionMismatch, InvalidShape, SingularPair
+from .manifold import GrassmannPoint, MappingMatrix, orthonormalize, stack_bases
+
+# measure, measure_grad: per-pair references, looked up here by perfbench/tracer.py
+from .metrics import (  # noqa: F401
     MeasureKind,
     Orientation,
     _as_map,
     measure,
     measure_grad,
+    pair_measure_grads,
+    pair_measures,
     qr_pullback,
 )
 
 # fail loudly when more than this fraction of weighted pairs is skipped
 MAX_SKIP_FRACTION = 0.01
+
+# pairs go in chunks whose gathered d x n bases take about this many bytes
+PAIR_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -43,36 +52,37 @@ class Problem:
     kind: MeasureKind
     target_dim: int
     sign_flip_similarity: bool = True
-    _pairs: tuple[tuple[int, int, int], ...] = field(init=False, repr=False)
+    # the points' bases, shared with a PointStack; the samples that touch a
+    # pair; each pair (i < j, row-major order) as positions in _active
+    _bases: np.ndarray = field(init=False, repr=False)
+    _active: np.ndarray = field(init=False, repr=False)
+    _pair_i: np.ndarray = field(init=False, repr=False)
+    _pair_j: np.ndarray = field(init=False, repr=False)
+    _weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        points = tuple(self.points)
+        points = self.points if isinstance(self.points, tuple) else tuple(self.points)
         if not points:
             raise InvalidShape("need at least one point")
-        shape = points[0].basis.shape
-        for i, p in enumerate(points):
-            if p.basis.shape != shape:
-                raise DimensionMismatch(
-                    f"point {i} has shape {p.basis.shape}, expected {shape}"
-                )
+        bases = stack_bases(points)
         if self.graph.size != len(points):
             raise DimensionMismatch(
                 f"graph size {self.graph.size} != {len(points)} points"
             )
-        ambient, order = shape
+        ambient, order = bases.shape[1:]
         if not order <= self.target_dim <= ambient:
             raise InvalidShape(
                 f"need n <= d <= D, got n={order}, d={self.target_dim}, D={ambient}"
             )
         gm = self.graph.g
-        pairs = tuple(
-            (i, j, int(gm[i, j]))
-            for i in range(len(points))
-            for j in range(i + 1, len(points))
-            if gm[i, j] != 0
-        )
+        rows, cols = np.nonzero(np.triu(gm, 1))
+        active, ends = np.unique(np.concatenate([rows, cols]), return_inverse=True)
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "_bases", bases)
+        object.__setattr__(self, "_active", active)
+        object.__setattr__(self, "_pair_i", ends[: len(rows)])
+        object.__setattr__(self, "_pair_j", ends[len(rows) :])
+        object.__setattr__(self, "_weights", gm[rows, cols].astype(np.float64))
 
     @property
     def ambient_dim(self) -> int:
@@ -103,18 +113,25 @@ def reduce_point(w: MappingMatrix, x: GrassmannPoint) -> GrassmannPoint:
     return GrassmannPoint(q)
 
 
-def _reduce_active(wm: np.ndarray, p: Problem) -> dict[int, tuple]:
-    """QR-normalize W^T X_i once for every sample that touches a pair."""
-    active = sorted({i for i, j, _ in p._pairs} | {j for _, j, _ in p._pairs})
-    out = {}
-    for i in active:
-        y = wm.T @ p.points[i].basis
-        try:
-            q, r = orthonormalize(y)
-        except RankDeficient as exc:
-            raise RankDeficient(f"sample {i}: {exc}") from exc
-        out[i] = (y, q, r)
-    return out
+def _checked_map(w, p: Problem) -> np.ndarray:
+    wm = _as_map(w)
+    if wm.shape != (p.ambient_dim, p.target_dim):
+        raise DimensionMismatch(
+            f"map shape {wm.shape} != ({p.ambient_dim}, {p.target_dim})"
+        )
+    return wm
+
+
+def _reduce_active(wm: np.ndarray, p: Problem):
+    """Y = W^T X and its QR for the samples that touch a pair, in _active order."""
+    y = np.matmul(wm.T, p._bases)[p._active]
+    return (y, *orthonormalize(y))
+
+
+def _pair_chunks(p: Problem):
+    step = max(1, PAIR_CHUNK_BYTES // (8 * p.target_dim * p.order))
+    for start in range(0, len(p._weights), step):
+        yield slice(start, start + step)
 
 
 def cost(w, p: Problem) -> float:
@@ -123,17 +140,15 @@ def cost(w, p: Problem) -> float:
     Accepts a MappingMatrix or a raw D x d array (the raw form supports
     finite-difference probes, which step off the orthonormal constraint).
     """
-    wm = _as_map(w)
-    if wm.shape != (p.ambient_dim, p.target_dim):
-        raise DimensionMismatch(
-            f"map shape {wm.shape} != ({p.ambient_dim}, {p.target_dim})"
-        )
-    red = _reduce_active(wm, p)
-    s = p.pair_sign
+    wm = _checked_map(w, p)
+    if not len(p._weights):
+        return 0.0
+    _, q, _ = _reduce_active(wm, p)
     total = 0.0
-    for i, j, weight in p._pairs:
-        total += weight * s * measure(p.kind, red[i][1], red[j][1])
-    return total
+    for c in _pair_chunks(p):
+        a = q[p._pair_i[c]].mT @ q[p._pair_j[c]]
+        total += float(p._weights[c] @ pair_measures(p.kind, a))
+    return p.pair_sign * total
 
 
 def euclidean_grad(w, p: Problem) -> np.ndarray:
@@ -150,54 +165,32 @@ def cost_and_grad(w, p: Problem) -> tuple[float, np.ndarray, int]:
     MAX_SKIP_FRACTION of the weighted pairs get skipped the evaluation
     aborts, since the gradient would no longer represent the objective.
     """
-    wm = _as_map(w)
-    if wm.shape != (p.ambient_dim, p.target_dim):
-        raise DimensionMismatch(
-            f"map shape {wm.shape} != ({p.ambient_dim}, {p.target_dim})"
-        )
-    red = _reduce_active(wm, p)
-    s = p.pair_sign
+    wm = _checked_map(w, p)
+    grad = np.zeros(wm.shape)
+    if not len(p._weights):
+        return 0.0, grad, 0
+    y, q, r = _reduce_active(wm, p)
+    dq = np.zeros_like(q)
     total = 0.0
-    dq_acc: dict[int, np.ndarray] = {}
     skipped = 0
-    for i, j, weight in p._pairs:
-        qi, qj = red[i][1], red[j][1]
-        total += weight * s * measure(p.kind, qi, qj)
-        try:
-            pg = measure_grad(p.kind, qi, qj)
-        except SingularPair:
-            skipped += 1
-            continue
-        coeff = weight * s
-        if i in dq_acc:
-            dq_acc[i] += coeff * pg.g1
-        else:
-            dq_acc[i] = coeff * pg.g1
-        if j in dq_acc:
-            dq_acc[j] += coeff * pg.g2
-        else:
-            dq_acc[j] = coeff * pg.g2
+    for c in _pair_chunks(p):
+        i, j, weights = p._pair_i[c], p._pair_j[c], p._weights[c]
+        qi, qj = q[i], q[j]
+        values, da, ok = pair_measure_grads(p.kind, qi.mT @ qj)
+        total += float(weights @ values)
+        skipped += len(ok) - int(np.count_nonzero(ok))
+        da *= weights[:, None, None]
+        np.add.at(dq, i, qj @ da.mT)
+        np.add.at(dq, j, qi @ da)
 
-    if p._pairs and skipped > MAX_SKIP_FRACTION * len(p._pairs):
+    if skipped > MAX_SKIP_FRACTION * len(p._weights):
         raise SingularPair(
-            f"{skipped} of {len(p._pairs)} weighted pairs skipped as singular; "
+            f"{skipped} of {len(p._weights)} weighted pairs skipped as singular; "
             "gradient would not represent the objective"
         )
 
-    grad = np.zeros_like(wm)
-    for i, dq in dq_acc.items():
-        y, q, r = red[i]
-        dy = qr_pullback(y, q, r, dq)
-        grad += p.points[i].basis @ dy.T
-    return total, grad, skipped
-
-
-def riemannian_grad(w: MappingMatrix, eg: np.ndarray) -> TangentVector:
-    """Project the ambient gradient onto the horizontal space at w.
-
-    Computed as eg - w (w^T eg); the D x D projector is never formed.
-    """
-    eg = np.asarray(eg, dtype=np.float64)
-    if eg.shape != w.w.shape:
-        raise DimensionMismatch(f"gradient shape {eg.shape} != {w.w.shape}")
-    return TangentVector(eg - w.w @ (w.w.T @ eg), base=w)
+    dy = qr_pullback(y, q, r, p.pair_sign * dq)
+    # sum X_i dY_i^T sample by sample: no reshaped copy of the D x n bases
+    for k, i in enumerate(p._active):
+        grad += p._bases[i] @ dy[k].T
+    return p.pair_sign * total, grad, skipped

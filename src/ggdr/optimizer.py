@@ -18,12 +18,12 @@ import numpy as np
 from .errors import InvalidShape
 from .manifold import (
     MappingMatrix,
-    MappingMeta,
     TangentVector,
     geodesic_step,
     parallel_transport,
+    project_tangent,
 )
-from .objective import Problem, cost, cost_and_grad, riemannian_grad
+from .objective import Problem, cost, cost_and_grad
 
 
 class BetaRule(enum.Enum):
@@ -103,10 +103,6 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
 
 
-def identity_init(p: Problem) -> MappingMatrix:
-    return MappingMatrix(np.eye(p.ambient_dim, p.target_dim))
-
-
 def minimize(
     p: Problem,
     w0: MappingMatrix | None = None,
@@ -124,22 +120,21 @@ def minimize(
     accepted step, before termination checks.
     """
     opts = opts or OptimOptions()
-    meta = MappingMeta(p.ambient_dim, p.target_dim, p.order, p.kind)
     if w0 is None:
-        w = MappingMatrix(np.eye(p.ambient_dim, p.target_dim), meta=meta)
+        w = MappingMatrix(np.eye(p.ambient_dim, p.target_dim))
     else:
         if w0.w.shape != (p.ambient_dim, p.target_dim):
             raise InvalidShape(
                 f"w0 shape {w0.w.shape} != ({p.ambient_dim}, {p.target_dim})"
             )
-        w = MappingMatrix(w0.w, meta=meta)
+        w = w0
     restart = opts.restart_period
     if restart is None:
         restart = max(1, p.target_dim * (p.ambient_dim - p.target_dim))
     ls = opts.line_search
 
     c, eg, skipped = cost_and_grad(w, p)
-    rg = riemannian_grad(w, eg)
+    rg = project_tangent(w, eg)
     rnorm = rg.norm
     if callback is not None:
         callback(0, w, rg)
@@ -165,11 +160,13 @@ def minimize(
             h = TangentVector(-rg.h, base=w)
             slope = -rnorm * rnorm
 
+        # one SVD of h serves every trial step and both transports
+        svd = np.linalg.svd(h.h, full_matrices=False)
         alpha = ls.initial_step
         backtracks = 0
         accepted = False
         while True:
-            w_try = geodesic_step(w, h, alpha)
+            w_try = geodesic_step(w, h, alpha, svd)
             c_try = cost(w_try, p)
             if c_try <= c + ls.sufficient_decrease * alpha * slope:
                 accepted = True
@@ -187,9 +184,9 @@ def minimize(
         trace.records.append(TraceRecord(it, c, rnorm, alpha, backtracks, skipped))
 
         c_new, eg_new, skipped_new = cost_and_grad(w_try, p)
-        rg_old_moved = parallel_transport(rg, w, h, alpha)
-        h_moved = parallel_transport(h, w, h, alpha)
-        rg_new = riemannian_grad(w_try, eg_new)
+        rg_old_moved = parallel_transport(rg, w, h, alpha, svd, w_try)
+        h_moved = parallel_transport(h, w, h, alpha, svd, w_try)
+        rg_new = project_tangent(w_try, eg_new)
         rnorm_new = rg_new.norm
         if callback is not None:
             callback(it + 1, w_try, rg_new)

@@ -28,31 +28,48 @@ from .errors import (
     RankDeficient,
     SingularPair,
 )
-from .manifold import GrassmannPoint, MappingMatrix, orthonormalize
-from .metrics import (
+from .manifold import (
+    GrassmannPoint,
+    MappingMatrix,
+    PointStack,
+    orthonormalize,
+    stack_bases,
+)
+
+# measure, reduce_point: per-pair references, looked up here by perfbench/tracer.py
+from .metrics import (  # noqa: F401
     MeasureKind,
     Orientation,
     health_counters,
     measure,
+    pair_measures,
 )
-from .objective import Problem, cost, euclidean_grad, reduce_point
+from .objective import Problem, cost, euclidean_grad, reduce_point  # noqa: F401
 from .optimizer import OptimOptions, OptimTrace, minimize
 
 FD_STEP = 1e-6
 GRAD_TOL = 1e-5
 SVD_GAP_RTOL = 1e-10
 
+# all-pairs work goes in row blocks whose products take about this many bytes
+PAIR_BLOCK_BYTES = 1 << 18
+
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Parallel lists of subspace points, class labels, and source ids."""
+    """Parallel lists of subspace points, class labels, and source ids.
+
+    ``samples`` is a PointStack: views into one read-only (N, D, n) array.
+    """
 
     samples: tuple[GrassmannPoint, ...]
     labels: tuple
     provenance: tuple[str, ...]
 
     def __post_init__(self):
-        samples = tuple(self.samples)
+        samples = self.samples
+        if not isinstance(samples, tuple):
+            samples = tuple(samples)
         labels = tuple(self.labels)
         provenance = tuple(self.provenance)
         if not (len(samples) == len(labels) == len(provenance)):
@@ -62,12 +79,8 @@ class LabeledDataset:
             )
         if not samples:
             raise EmptyTrainingSet("dataset is empty")
-        shape = samples[0].basis.shape
-        for i, s in enumerate(samples):
-            if s.basis.shape != shape:
-                raise DimensionMismatch(
-                    f"sample {i} has shape {s.basis.shape}, expected {shape}"
-                )
+        if not isinstance(samples, PointStack):
+            samples = PointStack(stack_bases(samples))
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "provenance", provenance)
@@ -169,42 +182,62 @@ def build_subspace(features: np.ndarray, order: int) -> GrassmannPoint:
     return GrassmannPoint(basis)
 
 
+def _measure_blocks(kind: MeasureKind, left, right, upper: bool = False):
+    """Yield (a, b, values[k, m] = measure(left[a + k], right[m])) by row block.
+
+    With ``upper`` (left is right) the columns start at a: only pairs on or
+    above the diagonal. A block's bases and products take about
+    PAIR_BLOCK_BYTES each.
+    """
+    count, ambient, order = left.shape
+    row_bytes = 8 * order * max(ambient, len(right) * order)
+    step = max(1, PAIR_BLOCK_BYTES // row_bytes)
+    for a in range(0, count, step):
+        b = min(a + step, count)
+        cols = right[a:] if upper else right
+        rows = left[a:b].mT.reshape((b - a) * order, ambient)
+        prods = (rows @ cols).reshape(len(cols), b - a, order, order)
+        yield a, b, pair_measures(kind, prods).T
+
+
 def pairwise_dissimilarity(samples, kind: MeasureKind) -> np.ndarray:
     """Symmetric zero-diagonal dissimilarity matrix under one measure.
 
     Similarity-like measures are flipped (1 - value) so that smaller always
-    means closer; only the ordering matters for neighbor selection.
+    means closer; only the ordering matters for neighbor selection. Each
+    pair is evaluated once and mirrored, so the matrix is exactly symmetric.
     """
-    samples = list(samples)
-    n = len(samples)
-    out = np.zeros((n, n))
-    flip = kind.orientation is Orientation.SIMILARITY_LIKE
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = measure(kind, samples[i], samples[j])
-            out[i, j] = out[j, i] = (1.0 - v) if flip else v
-    return out
+    bases = stack_bases(samples)
+    out = np.zeros((len(bases), len(bases)))
+    if not len(bases):
+        return out
+    for a, b, values in _measure_blocks(kind, bases, bases, upper=True):
+        out[a:b, a:] = values
+    if kind.orientation is Orientation.SIMILARITY_LIKE:
+        out = 1.0 - out
+    out = np.triu(out, 1)
+    return out + out.T
 
 
 def _nn_predict(train: LabeledDataset, test_samples, kind: MeasureKind):
     """Labels, training indices, and measure values of each nearest neighbor."""
     if train.size == 0:
         raise EmptyTrainingSet("no training samples")
-    test_samples = list(test_samples)
-    shape = train.samples[0].basis.shape
-    pick_max = kind.orientation is Orientation.SIMILARITY_LIKE
-    labels, indices, values = [], [], []
-    for t in test_samples:
-        if t.basis.shape != shape:
-            raise DimensionMismatch(
-                f"test sample shape {t.basis.shape}, train shape {shape}"
-            )
-        vals = np.array([measure(kind, t, x) for x in train.samples])
-        best = int(vals.argmax() if pick_max else vals.argmin())
-        labels.append(train.labels[best])
-        indices.append(best)
-        values.append(float(vals[best]))
-    return labels, indices, values
+    test, bases = stack_bases(test_samples), train.samples.bases
+    if not len(test):
+        return [], [], []
+    if test.shape[1:] != bases.shape[1:]:
+        raise DimensionMismatch(
+            f"test sample shape {test.shape[1:]}, train shape {bases.shape[1:]}"
+        )
+    pick = np.argmax if kind.orientation is Orientation.SIMILARITY_LIKE else np.argmin
+    indices = np.empty(len(test), dtype=np.int64)
+    values = np.empty(len(test))
+    for a, b, block in _measure_blocks(kind, test, bases):
+        indices[a:b] = pick(block, axis=1)  # first index on ties
+        values[a:b] = block[np.arange(b - a), indices[a:b]]
+    indices = indices.tolist()
+    return [train.labels[i] for i in indices], indices, values.tolist()
 
 
 def nn_classify(train: LabeledDataset, test_samples, kind: MeasureKind) -> list:
@@ -213,9 +246,13 @@ def nn_classify(train: LabeledDataset, test_samples, kind: MeasureKind) -> list:
 
 
 def _reduce_dataset(ds: LabeledDataset, w: MappingMatrix) -> LabeledDataset:
-    return LabeledDataset(
-        tuple(reduce_point(w, x) for x in ds.samples), ds.labels, ds.provenance
-    )
+    """Every sample mapped by w: one batched W^T X and one batched QR."""
+    if w.ambient_dim != ds.ambient_dim:
+        raise DimensionMismatch(
+            f"ambient dims differ: map {w.ambient_dim}, points {ds.ambient_dim}"
+        )
+    q, _ = orthonormalize(np.matmul(w.w.T, ds.samples.bases))
+    return LabeledDataset(PointStack(q), ds.labels, ds.provenance)
 
 
 def evaluate(

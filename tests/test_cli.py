@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ggdr import cli
 from ggdr.cli import main
 
 
@@ -140,6 +141,53 @@ class TestEval:
         lines = preds.read_text().splitlines()
         assert lines[0] == "id,true,pred,nn_distance"
         assert len(lines) == 13
+
+    def test_preds_from_the_one_nn_pass(
+        self, tmp_path, dataset_dir, capsys, monkeypatch
+    ):
+        w = tmp_path / "w.csv"
+        assert run([
+            "train", "--data", dataset_dir, "--metric", "bc", "--dim", 3,
+            "--order", 2, "--out", w, "--max-iter", 2,
+        ]) == 0
+        passes = []
+        nn_predict = cli._nn_predict
+
+        def counted(*args):
+            passes.append(1)
+            return nn_predict(*args)
+
+        monkeypatch.setattr(cli, "_nn_predict", counted)
+        preds = tmp_path / "preds.csv"
+        assert run([
+            "eval", "--train", dataset_dir, "--test", dataset_dir,
+            "--metric", "bc", "--model", w, "--preds", preds,
+        ]) == 0
+        assert len(passes) == 1
+        printed = float(capsys.readouterr().out.split("accuracy=")[1])
+        rows = [line.split(",") for line in preds.read_text().splitlines()[1:]]
+        assert printed == sum(r[1] == r[2] for r in rows) / len(rows)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_basis_file(self, dataset_dir, value):
+        victim = dataset_dir / "sample_0003.csv"
+        lines = victim.read_text().splitlines()
+        lines[2] = value + lines[2][lines[2].index(","):]
+        victim.write_text("\n".join(lines) + "\n")
+        code = run([
+            "eval", "--train", dataset_dir, "--test", dataset_dir, "--metric", "p",
+        ])
+        assert code == 1
+
+    def test_linalg_error_is_numerical_exit(self, dataset_dir, monkeypatch):
+        def fail(*args):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cli, "_nn_predict", fail)
+        code = run([
+            "eval", "--train", dataset_dir, "--test", dataset_dir, "--metric", "p",
+        ])
+        assert code == 3
 
     def test_model_dimension_mismatch(self, tmp_path, dataset_dir):
         other = tmp_path / "other"

@@ -34,6 +34,13 @@ class TestMatrixCsv:
         with pytest.raises(DataFormatError, match="bad.csv:1"):
             read_matrix_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"1.0,2.0\n3.0,{value}\n")
+        with pytest.raises(DataFormatError, match="non-finite .* row 2, column 2"):
+            read_matrix_csv(path)
+
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -51,6 +58,26 @@ class TestDatasetRoundTrip:
         assert loaded.provenance == ds.provenance
         for a, b in zip(ds.samples, loaded.samples):
             assert np.abs(a.basis - b.basis).max() < 1e-12
+
+    def test_bases_loaded_into_one_stack(self, tmp_path):
+        save_dataset(tmp_path / "ds", synth_dataset(SynthParams(2, 3, 8, 2, 0.2, 4)))
+        loaded = load_dataset(tmp_path / "ds")
+        assert loaded.samples.bases.shape == (6, 8, 2)
+        assert all(s.basis.base is loaded.samples.bases for s in loaded.samples)
+
+    @pytest.mark.parametrize("mode", ["basis", "raw"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_sample_rejected(self, tmp_path, mode, value):
+        ds_dir = tmp_path / "ds"
+        ds_dir.mkdir()
+        matrix = random_point(6, 2, 1).basis if mode == "basis" else np.ones((6, 3))
+        write_matrix_csv(ds_dir / "a.csv", matrix)
+        text = (ds_dir / "a.csv").read_text().splitlines()
+        text[3] = value + text[3][text[3].index(","):]
+        (ds_dir / "a.csv").write_text("\n".join(text) + "\n")
+        (ds_dir / "manifest.tsv").write_text(f"a\tx\t{mode}\ta.csv\n")
+        with pytest.raises(DataFormatError, match="non-finite"):
+            load_dataset(ds_dir, order=2)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataFormatError, match="manifest"):

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from ggdr.errors import DimensionMismatch, InvalidShape, RankDeficient
 from ggdr.manifold import (
     GrassmannPoint,
     MappingMatrix,
+    PointStack,
     TangentVector,
     geodesic_distance,
     geodesic_step,
@@ -15,6 +18,7 @@ from ggdr.manifold import (
     principal_angles,
     project_tangent,
     random_point,
+    stack_bases,
 )
 from oracles import integrate_geodesic, random_orthogonal
 
@@ -75,6 +79,47 @@ class TestOrthonormalize:
         q, r = orthonormalize(m)
         assert np.linalg.norm(q @ r - m) / np.linalg.norm(m) < 1e-10
         assert (np.diag(r) > 0).all()
+
+
+class TestStackedOrthonormalize:
+    def test_matches_one_by_one(self, rng):
+        m = rng.standard_normal((5, 7, 3))
+        q, r = orthonormalize(m)
+        for k in range(5):
+            qk, rk = orthonormalize(m[k])
+            assert_allclose(q[k], qk, atol=1e-14)
+            assert_allclose(r[k], rk, atol=1e-14)
+
+    def test_rank_deficient_names_the_matrix(self, rng):
+        m = rng.standard_normal((4, 6, 2))
+        m[2, :, 1] = m[2, :, 0]
+        with pytest.raises(RankDeficient, match="matrix 2 of the stack"):
+            orthonormalize(m)
+
+
+class TestPointStack:
+    def test_points_are_views_of_one_read_only_array(self, rng):
+        bases, _ = orthonormalize(rng.standard_normal((4, 6, 2)))
+        stack = PointStack(bases)
+        assert len(stack) == 4 and not stack.bases.flags.writeable
+        assert all(p.basis.base is stack.bases for p in stack)
+        assert stack_bases(stack) is stack.bases
+        assert_allclose(stack_bases(list(stack)), stack.bases, atol=0)
+
+    def test_pickle_round_trip(self, rng):
+        bases, _ = orthonormalize(rng.standard_normal((3, 6, 2)))
+        again = pickle.loads(pickle.dumps(PointStack(bases)))
+        assert isinstance(again, PointStack) and (again.bases == bases).all()
+
+    def test_writeable_input_is_copied(self, rng):
+        bases, _ = orthonormalize(rng.standard_normal((3, 6, 2)))
+        stack = PointStack(bases)
+        bases[0] = 0.0
+        assert np.abs(stack[0].basis).max() > 0.0
+
+    def test_mixed_shapes_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            stack_bases([random_point(6, 2, 0), random_point(6, 3, 1)])
 
 
 class TestGrassmannPoint:
@@ -217,6 +262,24 @@ class TestParallelTransport:
             assert abs(out.norm - mv.norm) <= 1e-8
             end = geodesic_step(w, h, 0.61)
             assert np.abs(out.base.w - end.w).max() < 1e-12
+
+
+class TestFactoredGeodesic:
+    def test_reused_svd_and_endpoint_are_bit_identical(self, rng):
+        # the optimizer factors h once per iteration and reuses the accepted
+        # endpoint in both transports; nothing may change in the last bit
+        w = rand_map(12, 4, 3)
+        h = project_tangent(w, rng.standard_normal((12, 4)))
+        mv = project_tangent(w, rng.standard_normal((12, 4)))
+        svd = np.linalg.svd(h.h, full_matrices=False)
+        for t in (1.0, 0.5, 2.0**-7):
+            w1 = geodesic_step(w, h, t, svd)
+            assert (w1.w == geodesic_step(w, h, t).w).all()
+            for moved in (mv, h):
+                fresh = parallel_transport(moved, w, h, t)
+                reused = parallel_transport(moved, w, h, t, svd, w1)
+                assert (reused.h == fresh.h).all()
+                assert (reused.base.w == fresh.base.w).all()
 
 
 class TestCosineClamp:

@@ -198,7 +198,7 @@ class TestQrPullback:
     def test_zero_gradients(self, rng):
         x = rng.standard_normal((6, 3))
         q, r = orthonormalize(x)
-        out = qr_pullback(x, q, r, np.zeros((6, 3)), np.zeros((3, 3)))
+        out = qr_pullback(x, q, r, np.zeros((6, 3)))
         assert np.abs(out).max() == 0.0
 
     def test_skew_case_reduces(self, rng):
@@ -227,18 +227,6 @@ class TestQrPullback:
             out = qr_pullback(x, q, r, 2.0 * (q - target))
             worst = max(worst, rel_error(out, fd_grad(loss_through_qr, x)))
         assert worst <= 1e-5
-
-    def test_r_path_fd(self, rng):
-        target = rng.standard_normal((3, 3))
-
-        def loss_of_r(x):
-            _, r = orthonormalize(x)
-            return float(np.sum((r - target) ** 2))
-
-        x = rng.standard_normal((6, 3))
-        q, r = orthonormalize(x)
-        out = qr_pullback(x, q, r, np.zeros((6, 3)), 2.0 * (r - target))
-        assert rel_error(out, fd_grad(loss_of_r, x)) <= 1e-5
 
     def test_singular_r(self, rng):
         x = rng.standard_normal((5, 2))

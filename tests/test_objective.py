@@ -14,20 +14,35 @@ from ggdr.manifold import (
     MappingMatrix,
     geodesic_distance,
     orthonormalize,
+    project_tangent,
     random_point,
 )
-from ggdr.metrics import MeasureKind, measure
+from ggdr import objective
+from ggdr.metrics import (
+    MeasureKind,
+    health_counters,
+    measure,
+    measure_grad,
+    qr_pullback,
+    reset_health_counters,
+)
 from ggdr.objective import (
+    MAX_SKIP_FRACTION,
     Problem,
     cost,
     cost_and_grad,
     euclidean_grad,
     reduce_point,
-    riemannian_grad,
 )
+from ggdr.pipeline import SynthParams, synth_dataset
 from oracles import fd_grad, random_orthogonal, rel_error
 
 ALL_KINDS = list(MeasureKind)
+DET_KINDS = [
+    MeasureKind.FUBINI_STUDY,
+    MeasureKind.BINET_CAUCHY_DIST_SQ,
+    MeasureKind.BINET_CAUCHY_KERNEL,
+]
 
 
 def pair_graph():
@@ -206,22 +221,24 @@ class TestEuclideanGrad:
 
 
 class TestRiemannianGrad:
+    # the Riemannian gradient is the ambient gradient projected onto the
+    # horizontal space at w
     def test_span_component_killed(self, rng):
         w = rand_w(9, 4, 0)
         m = rng.standard_normal((4, 4))
-        tv = riemannian_grad(w, w.w @ m)
+        tv = project_tangent(w, w.w @ m)
         assert np.abs(tv.h).max() < 1e-12
 
     def test_horizontal_passthrough(self, rng):
         w = rand_w(9, 4, 0)
         eg = rng.standard_normal((9, 4))
         eg = eg - w.w @ (w.w.T @ eg)
-        tv = riemannian_grad(w, eg)
+        tv = project_tangent(w, eg)
         assert_allclose(tv.h, eg, atol=1e-12)
 
     def test_tangency(self, rng):
         w = rand_w(9, 4, 0)
-        tv = riemannian_grad(w, rng.standard_normal((9, 4)))
+        tv = project_tangent(w, rng.standard_normal((9, 4)))
         assert np.linalg.norm(w.w.T @ tv.h) < 1e-10
 
     def test_consistency_cost_and_grad(self):
@@ -231,3 +248,128 @@ class TestRiemannianGrad:
         assert c == cost(w, p)
         assert_allclose(g, euclidean_grad(w, p), atol=0)
         assert skipped == 0
+
+
+def reference_cost_and_grad(wm, p):
+    """The per-pair loop: measure, measure_grad and qr_pullback pair by pair."""
+    g = p.graph.g
+    size = len(p.points)
+    pairs = [
+        (i, j, g[i, j]) for i in range(size) for j in range(i + 1, size) if g[i, j]
+    ]
+    reduced = {}
+    for i in sorted({k for i, j, _ in pairs for k in (i, j)}):
+        y = wm.T @ p.points[i].basis
+        reduced[i] = (y, *orthonormalize(y))
+    total, skipped, dq = 0.0, 0, {}
+    for i, j, weight in pairs:
+        qi, qj = reduced[i][1], reduced[j][1]
+        coeff = weight * p.pair_sign
+        total += coeff * measure(p.kind, qi, qj)
+        try:
+            pg = measure_grad(p.kind, qi, qj)
+        except SingularPair:
+            skipped += 1
+            continue
+        dq[i] = dq.get(i, 0.0) + coeff * pg.g1
+        dq[j] = dq.get(j, 0.0) + coeff * pg.g2
+    if skipped > MAX_SKIP_FRACTION * len(pairs):
+        raise SingularPair("skip budget exceeded")
+    grad = np.zeros_like(wm)
+    for i, d in dq.items():
+        y, q, r = reduced[i]
+        grad += p.points[i].basis @ qr_pullback(y, q, r, d).T
+    return total, grad, skipped
+
+
+def signed_graph(size, edges, seed):
+    g = np.zeros((size, size), dtype=int)
+    signs = np.random.default_rng(seed).choice([-1, 1], size=len(edges))
+    for (i, j), s in zip(edges, signs):
+        g[i, j] = g[j, i] = s
+    return AffinityGraph(g, kw=1, kb=1)
+
+
+def assert_matches_reference(w, p):
+    c, g, skipped = cost_and_grad(w, p)
+    c_ref, g_ref, skipped_ref = reference_cost_and_grad(w.w, p)
+    assert skipped == skipped_ref
+    assert abs(c - c_ref) <= 1e-12 * max(abs(c_ref), 1e-300)
+    assert cost(w, p) == c
+    assert np.linalg.norm(g - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
+
+
+class TestBatchedMatchesPerPairReference:
+    @pytest.mark.parametrize("chunk_pairs", [None, 7])
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_graph_with_inactive_samples(self, kind, chunk_pairs, monkeypatch):
+        # samples 10 and 11 touch no pair; chunks of 7 pairs leave a remainder
+        d_ambient, d_target, order = 12, 6, 3
+        if chunk_pairs is not None:
+            monkeypatch.setattr(
+                objective, "PAIR_CHUNK_BYTES", 8 * d_target * order * chunk_pairs
+            )
+        pts = tuple(random_point(d_ambient, order, 40 + s) for s in range(12))
+        edges = [(i, j) for i in range(10) for j in range(i + 1, 10) if (i + j) % 3]
+        p = Problem(pts, signed_graph(12, edges, 1), kind, target_dim=d_target)
+        assert len(p._active) == 10 and len(p._weights) == len(edges)
+        assert_matches_reference(rand_w(d_ambient, d_target, 2), p)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_zero_graph(self, kind):
+        pts = tuple(random_point(8, 2, s) for s in range(4))
+        p = Problem(pts, zero_graph(4), kind, target_dim=4)
+        c, g, skipped = cost_and_grad(rand_w(8, 4, 0), p)
+        assert (c, skipped) == (0.0, 0) and not g.any()
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_singular_pair_skipped(self, kind):
+        # samples 0 and 1 map to orthogonal planes: det(Q0^T Q1) = 0, one
+        # skip among 120 pairs, under the 1% budget
+        e = np.eye(8)
+        pts = (GrassmannPoint(e[:, [0, 1]]), GrassmannPoint(e[:, [2, 3]])) + tuple(
+            random_point(8, 2, 60 + s) for s in range(14)
+        )
+        edges = [(i, j) for i in range(16) for j in range(i + 1, 16)]
+        p = Problem(pts, signed_graph(16, edges, 3), kind, target_dim=6)
+        w = MappingMatrix(np.eye(8, 6))
+        assert_matches_reference(w, p)
+        assert cost_and_grad(w, p)[2] == (1 if kind in DET_KINDS else 0)
+
+    @pytest.mark.parametrize("kind", DET_KINDS, ids=lambda k: k.value)
+    def test_singular_pair_aborts(self, kind):
+        e = np.eye(8)
+        pts = (GrassmannPoint(e[:, [0, 1]]), GrassmannPoint(e[:, [2, 3]])) + tuple(
+            random_point(8, 2, 70 + s) for s in range(2)
+        )
+        edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        p = Problem(pts, signed_graph(4, edges, 4), kind, target_dim=6)
+        w = MappingMatrix(np.eye(8, 6))
+        with pytest.raises(SingularPair):
+            reference_cost_and_grad(w.w, p)
+        with pytest.raises(SingularPair):
+            cost_and_grad(w, p)
+
+    def test_fubini_study_clamp_count(self):
+        x = random_point(8, 2, 80)
+        pts = (x, x, random_point(8, 2, 81))
+        graph = signed_graph(3, [(0, 1), (0, 2)], 5)
+        p = Problem(pts, graph, MeasureKind.FUBINI_STUDY, target_dim=5)
+        w = rand_w(8, 5, 6)
+        clamps, costs = [], []
+        for run in (lambda: reference_cost_and_grad(w.w, p), lambda: cost_and_grad(w, p)):
+            reset_health_counters()
+            costs.append(run()[0])
+            clamps.append(health_counters().get("fubini_study_grad_clamped", 0))
+        reset_health_counters()
+        assert clamps == [1, 1]
+        assert costs[1] == pytest.approx(costs[0], rel=1e-12)
+
+
+class TestSharedBases:
+    def test_dataset_stack_shared_by_problem(self):
+        ds = synth_dataset(SynthParams(2, 4, 9, 2, 0.2, 3))
+        assert not ds.samples.bases.flags.writeable
+        assert all(np.shares_memory(s.basis, ds.samples.bases) for s in ds.samples)
+        p = Problem(ds.samples, zero_graph(ds.size), MeasureKind.PROJECTION_SQ, 4)
+        assert p._bases is ds.samples.bases

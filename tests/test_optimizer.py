@@ -136,13 +136,6 @@ class TestMinimize:
         costs = [r.cost for r in trace.records]
         assert all(b <= a for a, b in zip(costs, costs[1:]))
 
-    def test_metadata_recorded(self):
-        p = two_class_problem()
-        w, _ = minimize(p, opts=OptimOptions(max_iter=5))
-        assert w.meta is not None
-        assert w.meta.ambient_dim == 20 and w.meta.target_dim == 6
-        assert w.meta.order == 2 and w.meta.measure is KIND
-
 
 class TestTrace:
     def test_csv_roundtrip(self, tmp_path):

@@ -16,6 +16,7 @@ from ggdr.manifold import (
     random_point,
 )
 from ggdr.metrics import MeasureKind, measure
+from ggdr import pipeline
 from ggdr.optimizer import OptimOptions
 from ggdr.pipeline import (
     GradCheckReport,
@@ -217,6 +218,55 @@ class TestPairwiseDissimilarity:
         d_bck = pairwise_dissimilarity(ds.samples, MeasureKind.BINET_CAUCHY_KERNEL)
         v = measure(MeasureKind.BINET_CAUCHY_KERNEL, ds.samples[0], ds.samples[1])
         assert d_bck[0, 1] == pytest.approx(1.0 - v, abs=1e-12)
+
+
+class TestBlockwisePairTable:
+    # 10 training samples on G(2, 7): row blocks of 3 leave a short last block
+    @pytest.fixture(autouse=True)
+    def blocks_of_three(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "PAIR_BLOCK_BYTES", 3 * 8 * 2 * (10 * 2))
+
+    def test_pairwise_matches_per_pair_measure(self):
+        ds = tiny_dataset(seed=12, classes=2, per=5, d_ambient=7)
+        for kind in ALL_KINDS:
+            d = pairwise_dissimilarity(ds.samples, kind)
+            assert (d == d.T).all() and (np.diag(d) == 0).all()
+            for i in range(ds.size):
+                for j in range(i + 1, ds.size):
+                    v = measure(kind, ds.samples[i], ds.samples[j])
+                    if kind is MeasureKind.BINET_CAUCHY_KERNEL:
+                        v = 1.0 - v
+                    assert d[i, j] == pytest.approx(v, rel=1e-12, abs=1e-12)
+
+    def test_nn_matches_per_pair_measure(self, rng):
+        ds = tiny_dataset(seed=13, classes=2, per=5, d_ambient=7)
+        test = [random_point(7, 2, int(rng.integers(2**31))) for _ in range(7)]
+        for kind in ALL_KINDS:
+            labels, indices, values = pipeline._nn_predict(ds, test, kind)
+            for t, label, index, value in zip(test, labels, indices, values):
+                vals = [measure(kind, t, x) for x in ds.samples]
+                similarity = kind is MeasureKind.BINET_CAUCHY_KERNEL
+                best = int(np.argmax(vals) if similarity else np.argmin(vals))
+                assert index == best and label == ds.labels[index]
+                assert value == pytest.approx(vals[index], rel=1e-12, abs=1e-12)
+
+    def test_no_samples(self):
+        ds = tiny_dataset(seed=14)
+        assert pairwise_dissimilarity([], MeasureKind.PROJECTION_SQ).shape == (0, 0)
+        assert nn_classify(ds, [], MeasureKind.PROJECTION_SQ) == []
+
+    def test_nn_ties_go_to_lowest_index(self):
+        # the probe makes the same angle with axes 1 and 3 and is orthogonal
+        # to the others: an exact tie between training samples 1 and 3
+        e = np.eye(7)
+        train = LabeledDataset(
+            tuple(GrassmannPoint(e[:, [k]]) for k in range(5)),
+            tuple("abcde"),
+            tuple("01234"),
+        )
+        probe = GrassmannPoint((e[:, [1]] + e[:, [3]]) / np.sqrt(2.0))
+        for kind in ALL_KINDS:
+            assert pipeline._nn_predict(train, [probe], kind)[:2] == (["b"], [1])
 
 
 class TestGridSearch:
