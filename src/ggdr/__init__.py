@@ -44,12 +44,10 @@ from .metrics import (
     MeasureKind,
     Orientation,
     PairGradient,
-    atril,
     btril,
     health_counters,
     measure,
     measure_grad,
-    pair_grad_w,
     qr_pullback,
     reset_health_counters,
 )
@@ -61,7 +59,6 @@ from .objective import (
     reduce_point,
 )
 from .optimizer import (
-    ArmijoParams,
     BetaRule,
     OptimOptions,
     OptimTrace,

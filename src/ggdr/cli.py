@@ -9,7 +9,6 @@ echoed into the trace header so runs can be reproduced from their outputs.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -26,7 +25,7 @@ from .metrics import MeasureKind
 
 # reduce_point, evaluate: looked up here by perfbench/tracer.py and workloads.py
 from .objective import reduce_point  # noqa: F401
-from .optimizer import ArmijoParams, BetaRule, OptimOptions
+from .optimizer import BetaRule, OptimOptions
 from .pipeline import (  # noqa: F401
     SynthParams,
     _nn_predict,
@@ -100,7 +99,6 @@ def _optim_options(args) -> tuple[OptimOptions, dict]:
         rel_cost_tol=_resolve(args, "rel-tol", float, 1e-6),
         grad_norm_tol=_resolve(args, "grad-tol", float, 1e-6),
         beta_rule=beta_rule,
-        line_search=ArmijoParams(),
         restart_period=_resolve(args, "restart", int, None),
     )
     shown = {
@@ -331,18 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _limit_threads() -> None:
-    hint = os.environ.get("GGDR_THREADS")
-    if not hint:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(int(hint))
-    except (ImportError, ValueError):
-        pass
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -350,7 +336,6 @@ def main(argv=None) -> int:
         args._config = _parse_config(args.config)
     else:
         args._config = {}
-    _limit_threads()
     try:
         return args.func(args)
     except (DataFormatError, OSError) as exc:

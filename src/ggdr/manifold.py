@@ -7,6 +7,9 @@ learned map is itself a Grassmannian G(d, D), so the same machinery provides
 geodesics and parallel transport for the optimizer.
 
 All types are immutable after construction and all operations are pure.
+The types check their invariants (orthonormality, horizontality) where data
+enters or leaves the library; the geodesic, the transport and the tangent
+projection work on plain D x d arrays, the optimizer's working state.
 """
 
 from __future__ import annotations
@@ -153,10 +156,6 @@ class TangentVector:
             )
         object.__setattr__(self, "h", h)
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.h))
-
 
 def orthonormalize(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Thin QR of a full-column-rank matrix with a fixed sign convention.
@@ -170,8 +169,10 @@ def orthonormalize(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     in a stack) falls below RANK_RTOL times the largest.
     """
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim < 2 or m.shape[-2] < m.shape[-1]:
-        raise InvalidShape(f"need a tall (or square) matrix, got {m.shape}")
+    if m.ndim < 2 or not 1 <= m.shape[-1] <= m.shape[-2]:
+        raise InvalidShape(
+            f"need a tall (or square) matrix with at least one column, got {m.shape}"
+        )
     q, r = np.linalg.qr(m)
     # singular values of r equal those of m; r is small (k x k)
     sv = np.linalg.svd(r, compute_uv=False)
@@ -232,70 +233,68 @@ def geodesic_distance(x1: GrassmannPoint, x2: GrassmannPoint) -> float:
     return float(np.linalg.norm(principal_angles(x1, x2)))
 
 
-def geodesic_step(
-    w: MappingMatrix, h: TangentVector, t: float, svd=None
-) -> MappingMatrix:
-    """Move along the exact Grassmann geodesic from w in direction h.
+def geodesic_step(w: np.ndarray, h: np.ndarray, t: float, svd=None) -> np.ndarray:
+    """Move along the exact Grassmann geodesic from the map w in direction h.
 
     With the thin SVD h = U S V^T the geodesic is
         w(t) = w V cos(S t) V^T + U sin(S t) V^T,
     re-orthonormalized afterwards to remove floating-point drift (for a
     near-orthonormal input the positive-diagonal QR is a pure correction; it
-    cannot flip column signs). A caller stepping along one h several times
-    passes ``svd = np.linalg.svd(h.h, full_matrices=False)`` once.
+    cannot flip column signs). Takes and returns D x d arrays. A caller
+    stepping along one h several times passes
+    ``svd = np.linalg.svd(h, full_matrices=False)`` once.
     """
-    if h.base.w.shape != w.w.shape:
+    if h.shape != w.shape:
         raise DimensionMismatch("tangent vector shaped for a different map")
-    u, s, vt = np.linalg.svd(h.h, full_matrices=False) if svd is None else svd
+    u, s, vt = np.linalg.svd(h, full_matrices=False) if svd is None else svd
     cos = np.cos(s * t)
     sin = np.sin(s * t)
-    stepped = (w.w @ vt.T) * cos @ vt + (u * sin) @ vt
+    stepped = (w @ vt.T) * cos @ vt + (u * sin) @ vt
     q, _ = orthonormalize(stepped)
-    return MappingMatrix(q)
+    return q
 
 
 def parallel_transport(
-    hmove: TangentVector,
-    w0: MappingMatrix,
-    hdir: TangentVector,
+    hmove: np.ndarray,
+    w0: np.ndarray,
+    hdir: np.ndarray,
     t: float,
     svd=None,
-    w1: MappingMatrix | None = None,
-) -> TangentVector:
+    w1: np.ndarray | None = None,
+) -> np.ndarray:
     """Transport hmove along the geodesic from w0 in direction hdir.
 
     Uses the closed form associated with the exact geodesic: with
     hdir = U S V^T,
         tau(hmove) = hmove + ((-w0 V sin(S t) + U cos(S t)) - U) U^T hmove.
     The result is horizontal at the geodesic endpoint and preserves the
-    Frobenius norm (transport is an isometry). ``svd`` (as for
-    ``geodesic_step``) and the endpoint ``w1 = geodesic_step(w0, hdir, t)``
-    may be passed in when the caller already has them.
+    Frobenius norm (transport is an isometry). Takes and returns D x d
+    arrays; ``svd`` (as for ``geodesic_step``) and the endpoint
+    ``w1 = geodesic_step(w0, hdir, t)`` may be passed in.
     """
-    if hmove.h.shape != w0.w.shape or hdir.h.shape != w0.w.shape:
+    if hmove.shape != w0.shape or hdir.shape != w0.shape:
         raise DimensionMismatch("transport arguments have inconsistent shapes")
     if svd is None:
-        svd = np.linalg.svd(hdir.h, full_matrices=False)
+        svd = np.linalg.svd(hdir, full_matrices=False)
     if w1 is None:
         w1 = geodesic_step(w0, hdir, t, svd)
     u, s, vt = svd
-    ut_h = u.T @ hmove.h
-    rotated = (-(w0.w @ vt.T) * np.sin(s * t) + u * np.cos(s * t)) @ ut_h
-    moved = hmove.h - u @ ut_h + rotated
+    ut_h = u.T @ hmove
+    rotated = (-(w0 @ vt.T) * np.sin(s * t) + u * np.cos(s * t)) @ ut_h
+    moved = hmove - u @ ut_h + rotated
     # re-projection removes O(eps) drift so the result satisfies the
     # horizontality invariant at the corrected endpoint
-    moved = moved - w1.w @ (w1.w.T @ moved)
-    return TangentVector(moved, base=w1)
+    return moved - w1 @ (w1.T @ moved)
 
 
-def project_tangent(w: MappingMatrix, ambient: np.ndarray) -> TangentVector:
-    """Project an ambient D x d matrix onto the horizontal space at w."""
+def project_tangent(w: np.ndarray, ambient: np.ndarray) -> np.ndarray:
+    """Project an ambient D x d matrix onto the horizontal space at the map w."""
     ambient = np.asarray(ambient, dtype=np.float64)
-    if ambient.shape != w.w.shape:
+    if ambient.shape != w.shape:
         raise DimensionMismatch(
-            f"ambient shape {ambient.shape} != map shape {w.w.shape}"
+            f"ambient shape {ambient.shape} != map shape {w.shape}"
         )
-    return TangentVector(ambient - w.w @ (w.w.T @ ambient), base=w)
+    return ambient - w @ (w.T @ ambient)
 
 
 def random_point(ambient_dim: int, order: int, seed: int) -> GrassmannPoint:

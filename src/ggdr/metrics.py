@@ -33,7 +33,7 @@ from .errors import (
     SingularPair,
     SingularR,
 )
-from .manifold import GrassmannPoint, MappingMatrix, RANK_RTOL, orthonormalize
+from .manifold import GrassmannPoint, RANK_RTOL
 
 DET_TOL = 1e-12
 
@@ -208,17 +208,8 @@ def pair_measure_grads(kind: MeasureKind, a: np.ndarray):
     return value(s, a.shape[-1]), da, ok
 
 
-def atril(a: np.ndarray) -> np.ndarray:
-    """Skew part assembled from the strictly lower triangle: L - L^T."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSquare(f"need a square matrix, got {a.shape}")
-    low = np.tril(a, -1)
-    return low - low.T
-
-
 def btril(a: np.ndarray) -> np.ndarray:
-    """Adjoint of ``atril``: strictly-lower(A) - strictly-lower(A^T), matrix-wise."""
+    """Adjoint of L -> L - L^T: strictly-lower(A) - strictly-lower(A^T), matrix-wise."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise NotSquare(f"need a square matrix, got {a.shape}")
@@ -254,33 +245,3 @@ def qr_pullback(
     # rhs @ R^{-T}; R has no entries below the diagonal for LU to pivot on,
     # so this is one triangular back substitution per matrix
     return np.linalg.solve(r, rhs.mT).mT
-
-
-def _as_map(w) -> np.ndarray:
-    if isinstance(w, MappingMatrix):
-        return w.w
-    return np.asarray(w, dtype=np.float64)
-
-
-def pair_grad_w(kind: MeasureKind, w, x1, x2) -> np.ndarray:
-    """Ambient gradient of measure(QR(W^T x1), QR(W^T x2)) w.r.t. W.
-
-    Chains the measure gradient through the QR normalization of each mapped
-    point: dL/dW = x1 (dL/dY1)^T + x2 (dL/dY2)^T with Yi = W^T xi.
-    """
-    wm = _as_map(w)
-    b1, b2 = _as_basis(x1), _as_basis(x2)
-    if b1.shape != b2.shape:
-        raise DimensionMismatch(f"point shapes differ: {b1.shape} vs {b2.shape}")
-    if b1.shape[0] != wm.shape[0]:
-        raise DimensionMismatch(
-            f"ambient dims differ: map {wm.shape[0]}, points {b1.shape[0]}"
-        )
-    y1 = wm.T @ b1
-    y2 = wm.T @ b2
-    q1, r1 = orthonormalize(y1)
-    q2, r2 = orthonormalize(y2)
-    g = measure_grad(kind, q1, q2)
-    dy1 = qr_pullback(y1, q1, r1, g.g1)
-    dy2 = qr_pullback(y2, q2, r2, g.g2)
-    return b1 @ dy1.T + b2 @ dy2.T

@@ -28,7 +28,6 @@ from .manifold import GrassmannPoint, MappingMatrix, orthonormalize, stack_bases
 from .metrics import (  # noqa: F401
     MeasureKind,
     Orientation,
-    _as_map,
     measure,
     measure_grad,
     pair_measure_grads,
@@ -114,7 +113,7 @@ def reduce_point(w: MappingMatrix, x: GrassmannPoint) -> GrassmannPoint:
 
 
 def _checked_map(w, p: Problem) -> np.ndarray:
-    wm = _as_map(w)
+    wm = w.w if isinstance(w, MappingMatrix) else np.asarray(w, dtype=np.float64)
     if wm.shape != (p.ambient_dim, p.target_dim):
         raise DimensionMismatch(
             f"map shape {wm.shape} != ({p.ambient_dim}, {p.target_dim})"

@@ -25,24 +25,18 @@ from .manifold import (
 )
 from .objective import Problem, cost, cost_and_grad
 
+# Armijo backtracking: the first trial step, the sufficient-decrease constant,
+# the factor that shrinks a rejected step, and the rejections allowed per
+# iteration before the line search fails
+INITIAL_STEP = 1.0
+SUFFICIENT_DECREASE = 1e-4
+CONTRACTION = 0.5
+MAX_BACKTRACKS = 30
+
 
 class BetaRule(enum.Enum):
     POLAK_RIBIERE_PLUS = "pr+"
     FLETCHER_REEVES = "fr"
-
-
-@dataclass(frozen=True)
-class ArmijoParams:
-    initial_step: float = 1.0
-    sufficient_decrease: float = 1e-4
-    contraction: float = 0.5
-    max_backtracks: int = 30
-
-    def __post_init__(self):
-        if not 0.0 < self.contraction < 1.0:
-            raise InvalidShape("contraction must lie in (0, 1)")
-        if self.initial_step <= 0 or self.sufficient_decrease <= 0:
-            raise InvalidShape("step and sufficient-decrease must be positive")
 
 
 @dataclass(frozen=True)
@@ -51,12 +45,15 @@ class OptimOptions:
     rel_cost_tol: float = 1e-6
     grad_norm_tol: float = 1e-6
     beta_rule: BetaRule = BetaRule.POLAK_RIBIERE_PLUS
-    line_search: ArmijoParams = field(default_factory=ArmijoParams)
     restart_period: int | None = None  # None: d(D - d), the manifold dimension
 
     def __post_init__(self):
         if self.max_iter < 0 or self.rel_cost_tol < 0 or self.grad_norm_tol < 0:
             raise InvalidShape("iteration cap and tolerances must be nonnegative")
+        if self.restart_period is not None and self.restart_period < 1:
+            raise InvalidShape(
+                f"restart period must be at least 1, got {self.restart_period}"
+            )
 
 
 @dataclass(frozen=True)
@@ -103,6 +100,11 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
 
 
+def _notify(callback, iteration: int, w: np.ndarray, rg: np.ndarray) -> None:
+    wm = MappingMatrix(w)
+    callback(iteration, wm, TangentVector(rg, base=wm))
+
+
 def minimize(
     p: Problem,
     w0: MappingMatrix | None = None,
@@ -117,30 +119,31 @@ def minimize(
     the best iterate found, flagged on the trace rather than raised.
 
     ``callback(iteration, w, rgrad)`` runs at the start and after every
-    accepted step, before termination checks.
+    accepted step, before termination checks, with a MappingMatrix and a
+    TangentVector. The loop itself keeps the map, the gradient and the
+    search direction as D x d arrays and validates only what it hands out.
     """
     opts = opts or OptimOptions()
     if w0 is None:
-        w = MappingMatrix(np.eye(p.ambient_dim, p.target_dim))
+        w = np.eye(p.ambient_dim, p.target_dim)
     else:
         if w0.w.shape != (p.ambient_dim, p.target_dim):
             raise InvalidShape(
                 f"w0 shape {w0.w.shape} != ({p.ambient_dim}, {p.target_dim})"
             )
-        w = w0
+        w = w0.w
     restart = opts.restart_period
     if restart is None:
         restart = max(1, p.target_dim * (p.ambient_dim - p.target_dim))
-    ls = opts.line_search
 
     c, eg, skipped = cost_and_grad(w, p)
     rg = project_tangent(w, eg)
-    rnorm = rg.norm
+    rnorm = float(np.linalg.norm(rg))
     if callback is not None:
-        callback(0, w, rg)
+        _notify(callback, 0, w, rg)
 
     trace = OptimTrace()
-    h: TangentVector | None = None
+    h: np.ndarray | None = None
     it = 0
     while True:
         if rnorm <= opts.grad_norm_tol:
@@ -154,26 +157,26 @@ def minimize(
             break
 
         if h is None:
-            h = TangentVector(-rg.h, base=w)
-        slope = _inner(rg.h, h.h)
+            h = -rg
+        slope = _inner(rg, h)
         if slope >= 0.0:
-            h = TangentVector(-rg.h, base=w)
+            h = -rg
             slope = -rnorm * rnorm
 
         # one SVD of h serves every trial step and both transports
-        svd = np.linalg.svd(h.h, full_matrices=False)
-        alpha = ls.initial_step
+        svd = np.linalg.svd(h, full_matrices=False)
+        alpha = INITIAL_STEP
         backtracks = 0
         accepted = False
         while True:
             w_try = geodesic_step(w, h, alpha, svd)
             c_try = cost(w_try, p)
-            if c_try <= c + ls.sufficient_decrease * alpha * slope:
+            if c_try <= c + SUFFICIENT_DECREASE * alpha * slope:
                 accepted = True
                 break
-            if backtracks >= ls.max_backtracks:
+            if backtracks >= MAX_BACKTRACKS:
                 break
-            alpha *= ls.contraction
+            alpha *= CONTRACTION
             backtracks += 1
         if not accepted:
             trace.records.append(TraceRecord(it, c, rnorm, 0.0, backtracks, skipped))
@@ -187,18 +190,18 @@ def minimize(
         rg_old_moved = parallel_transport(rg, w, h, alpha, svd, w_try)
         h_moved = parallel_transport(h, w, h, alpha, svd, w_try)
         rg_new = project_tangent(w_try, eg_new)
-        rnorm_new = rg_new.norm
+        rnorm_new = float(np.linalg.norm(rg_new))
         if callback is not None:
-            callback(it + 1, w_try, rg_new)
+            _notify(callback, it + 1, w_try, rg_new)
 
         if opts.beta_rule is BetaRule.FLETCHER_REEVES:
             beta = (rnorm_new * rnorm_new) / (rnorm * rnorm)
         else:
-            beta = _inner(rg_new.h, rg_new.h - rg_old_moved.h) / (rnorm * rnorm)
+            beta = _inner(rg_new, rg_new - rg_old_moved) / (rnorm * rnorm)
             beta = max(0.0, beta)
         if (it + 1) % restart == 0:
             beta = 0.0
-        h = TangentVector(-rg_new.h + beta * h_moved.h, base=w_try)
+        h = -rg_new + beta * h_moved
 
         cost_drop = abs(c - c_new)
         cost_scale = max(abs(c), abs(c_new), 1.0)
@@ -210,4 +213,4 @@ def minimize(
             trace.reason = "rel_cost"
             break
 
-    return w, trace
+    return MappingMatrix(w), trace

@@ -458,6 +458,11 @@ def gradient_check(
     failed. ``corrupt`` adds a constant to the analytic gradient (a test hook
     for the failure path).
     """
+    if min(trials, ambient_dim, target_dim, order) < 1:
+        raise InvalidShape(
+            f"trials and dimensions must be positive, got trials={trials}, "
+            f"D={ambient_dim}, d={target_dim}, n={order}"
+        )
     rng = np.random.default_rng(seed)
     graph = AffinityGraph(np.array([[0, 1], [1, 0]]), kw=1, kb=1)
     clamp_before = health_counters().get("fubini_study_grad_clamped", 0)

@@ -106,6 +106,16 @@ class TestTrain:
         ]) == 0
         assert "# max-iter=2" in (tmp_path / "t.csv").read_text()
 
+    @pytest.mark.parametrize("period", [0, -1])
+    def test_restart_below_one(self, tmp_path, dataset_dir, capsys, period):
+        code = run([
+            "train", "--data", dataset_dir, "--metric", "p", "--dim", 4,
+            "--order", 2, "--out", tmp_path / "w.csv", "--restart", period,
+        ])
+        assert code == 2
+        assert "restart period" in capsys.readouterr().err
+        assert not (tmp_path / "w.csv").exists()
+
     def test_corrupt_sample_file(self, tmp_path, dataset_dir):
         victim = dataset_dir / "sample_0000.csv"
         lines = victim.read_text().splitlines()
@@ -217,6 +227,14 @@ class TestGradcheck:
             "gradcheck", "--metric", "p", "--trials", 3, "--seed", 3,
             "--corrupt", "0.05",
         ]) == 3
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--order", 0), ("--dim", 0), ("--trials", 0), ("--trials", -1)]
+    )
+    def test_nonpositive_counts(self, capsys, flag, value):
+        assert run(["gradcheck", "--metric", "p", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "failures=" not in captured.out
 
     def test_all_metrics_small(self):
         assert run(["gradcheck", "--metric", "all", "--trials", 2]) == 0

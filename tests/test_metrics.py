@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 from ggdr.errors import (
     DimensionMismatch,
     NotSquare,
-    RankDeficient,
     SingularPair,
     SingularR,
 )
@@ -14,12 +13,10 @@ from ggdr.manifold import GrassmannPoint, orthonormalize, random_point
 from ggdr.metrics import (
     MeasureKind,
     Orientation,
-    atril,
     btril,
     health_counters,
     measure,
     measure_grad,
-    pair_grad_w,
     qr_pullback,
     reset_health_counters,
 )
@@ -168,13 +165,12 @@ class TestMeasureGrad:
 class TestTriangularMasks:
     def test_zero(self):
         z = np.zeros((3, 3))
-        assert (atril(z) == 0).all() and (btril(z) == 0).all()
+        assert (btril(z) == 0).all()
 
     def test_hand_example_strict_convention(self):
         # btril keeps both masks strictly lower: tril(A) - tril(A^T); the
         # finite-difference checks on qr_pullback pin this reading down
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert_allclose(atril(a), [[0.0, -3.0], [3.0, 0.0]])
         assert_allclose(btril(a), [[0.0, 0.0], [1.0, 0.0]])
 
     def test_btril_vanishes_on_symmetric(self, rng):
@@ -182,14 +178,7 @@ class TestTriangularMasks:
         sym = m + m.T
         assert np.abs(btril(sym)).max() == 0.0
 
-    def test_atril_is_skew(self, rng):
-        m = rng.standard_normal((5, 5))
-        out = atril(m)
-        assert_allclose(out, -out.T, atol=0)
-
     def test_not_square(self):
-        with pytest.raises(NotSquare):
-            atril(np.ones((2, 3)))
         with pytest.raises(NotSquare):
             btril(np.ones((3, 2)))
 
@@ -235,46 +224,3 @@ class TestQrPullback:
         bad_r[1, 1] = 0.0
         with pytest.raises(SingularR):
             qr_pullback(x, q, bad_r, np.ones((5, 2)))
-
-
-class TestPairGradW:
-    def test_zero_for_coincident_projection(self, rng):
-        wq, _ = orthonormalize(rng.standard_normal((10, 5)))
-        x = random_point(10, 2, 4)
-        g = pair_grad_w(MeasureKind.PROJECTION_SQ, wq, x, x)
-        assert np.abs(g).max() < 1e-10
-
-    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
-    def test_finite_difference_oracle(self, kind, rng):
-        def through_map(wm, b1, b2):
-            q1, _ = orthonormalize(wm.T @ b1)
-            q2, _ = orthonormalize(wm.T @ b2)
-            return measure(kind, q1, q2)
-
-        worst = 0.0
-        for _ in range(50):
-            seed = int(rng.integers(2**31))
-            wq, _ = orthonormalize(
-                np.random.default_rng(seed).standard_normal((10, 5))
-            )
-            x1, x2 = rand_pair(10, 2, seed + 1)
-            g = pair_grad_w(kind, wq, x1, x2)
-            fd = fd_grad(lambda m: through_map(m, x1.basis, x2.basis), wq.copy())
-            worst = max(worst, rel_error(g, fd))
-        assert worst <= 1e-5
-
-    def test_right_equivariance(self, rng):
-        wq, _ = orthonormalize(rng.standard_normal((10, 5)))
-        x1, x2 = rand_pair(10, 2, 77)
-        h = random_orthogonal(5, rng)
-        for kind in ALL_KINDS:
-            g = pair_grad_w(kind, wq, x1, x2)
-            gh = pair_grad_w(kind, wq @ h, x1, x2)
-            assert np.abs(gh - g @ h).max() < 1e-9
-
-    def test_rank_deficient(self):
-        e = np.eye(8)
-        wq = e[:, :3]
-        x = GrassmannPoint(e[:, [5, 6]])  # W^T x = 0
-        with pytest.raises(RankDeficient):
-            pair_grad_w(MeasureKind.PROJECTION_SQ, wq, x, x)

@@ -49,6 +49,12 @@ def pair_graph():
     return AffinityGraph(np.array([[0, 1], [1, 0]]), kw=1, kb=1)
 
 
+def two_point_problem(kind, x1, x2, target_dim):
+    return Problem(
+        (x1, x2), pair_graph(), kind, target_dim, sign_flip_similarity=False
+    )
+
+
 def zero_graph(n):
     return AffinityGraph(np.zeros((n, n), dtype=int), kw=1, kb=1)
 
@@ -208,6 +214,47 @@ class TestEuclideanGrad:
         fd = fd_grad(lambda m: cost(m, p), w.w.copy())
         assert rel_error(g, fd) <= 1e-5
 
+    # a two-point problem with weight +1 and no sign flip: the cost is
+    # measure(QR(W^T x1), QR(W^T x2)) itself, for every measure
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_two_point_finite_difference(self, kind, rng):
+        def through_map(wm, b1, b2):
+            q1, _ = orthonormalize(wm.T @ b1)
+            q2, _ = orthonormalize(wm.T @ b2)
+            return measure(kind, q1, q2)
+
+        worst = 0.0
+        for _ in range(50):
+            seed = int(rng.integers(2**31))
+            wq, _ = orthonormalize(
+                np.random.default_rng(seed).standard_normal((10, 5))
+            )
+            x1, x2 = random_point(10, 2, seed + 1), random_point(10, 2, seed + 10_001)
+            p = two_point_problem(kind, x1, x2, target_dim=5)
+            g = euclidean_grad(wq, p)
+            fd = fd_grad(lambda m: through_map(m, x1.basis, x2.basis), wq.copy())
+            worst = max(worst, rel_error(g, fd))
+        assert worst <= 1e-5
+
+    def test_two_point_right_equivariance(self, rng):
+        # grad(W O) = grad(W) O for an orthogonal O
+        wq, _ = orthonormalize(rng.standard_normal((10, 5)))
+        x1, x2 = random_point(10, 2, 77), random_point(10, 2, 10_077)
+        h = random_orthogonal(5, rng)
+        for kind in ALL_KINDS:
+            p = two_point_problem(kind, x1, x2, target_dim=5)
+            g = euclidean_grad(wq, p)
+            gh = euclidean_grad(wq @ h, p)
+            assert np.abs(gh - g @ h).max() < 1e-9
+
+    def test_two_point_rank_deficient(self):
+        e = np.eye(8)
+        x = GrassmannPoint(e[:, [5, 6]])  # W^T x = 0
+        p = two_point_problem(MeasureKind.PROJECTION_SQ, x, x, target_dim=3)
+        with pytest.raises(RankDeficient):
+            euclidean_grad(e[:, :3], p)
+
     def test_skip_budget_exceeded(self):
         e = np.eye(6)
         x1 = GrassmannPoint(e[:, [0, 1]])
@@ -224,22 +271,22 @@ class TestRiemannianGrad:
     # the Riemannian gradient is the ambient gradient projected onto the
     # horizontal space at w
     def test_span_component_killed(self, rng):
-        w = rand_w(9, 4, 0)
+        w = rand_w(9, 4, 0).w
         m = rng.standard_normal((4, 4))
-        tv = project_tangent(w, w.w @ m)
-        assert np.abs(tv.h).max() < 1e-12
+        assert np.abs(project_tangent(w, w @ m)).max() < 1e-12
 
     def test_horizontal_passthrough(self, rng):
-        w = rand_w(9, 4, 0)
+        w = rand_w(9, 4, 0).w
         eg = rng.standard_normal((9, 4))
-        eg = eg - w.w @ (w.w.T @ eg)
-        tv = project_tangent(w, eg)
-        assert_allclose(tv.h, eg, atol=1e-12)
+        eg = eg - w @ (w.T @ eg)
+        assert_allclose(project_tangent(w, eg), eg, atol=1e-12)
 
     def test_tangency(self, rng):
-        w = rand_w(9, 4, 0)
-        tv = project_tangent(w, rng.standard_normal((9, 4)))
-        assert np.linalg.norm(w.w.T @ tv.h) < 1e-10
+        w = rand_w(9, 4, 0).w
+        h = project_tangent(w, rng.standard_normal((9, 4)))
+        assert np.linalg.norm(w.T @ h) < 1e-10
+        with pytest.raises(DimensionMismatch):
+            project_tangent(w, np.ones((9, 3)))
 
     def test_consistency_cost_and_grad(self):
         p = rand_problem(MeasureKind.PROJECTION_SQ, 5, 9, 4, 2, seed=6)

@@ -3,11 +3,10 @@ import pytest
 
 from ggdr.affinity import AffinityGraph, build_affinity, default_kw
 from ggdr.errors import InvalidShape
-from ggdr.manifold import MappingMatrix, random_point
+from ggdr.manifold import MappingMatrix, TangentVector, random_point
 from ggdr.metrics import MeasureKind
 from ggdr.objective import Problem
 from ggdr.optimizer import (
-    ArmijoParams,
     BetaRule,
     OptimOptions,
     OptimTrace,
@@ -31,9 +30,10 @@ def two_class_problem(sigma=0.0, seed=42, target_dim=6):
 
 
 class TestOptions:
-    def test_rejects_bad_contraction(self):
+    @pytest.mark.parametrize("period", [0, -3])
+    def test_rejects_restart_below_one(self, period):
         with pytest.raises(InvalidShape):
-            ArmijoParams(contraction=1.5)
+            OptimOptions(restart_period=period)
 
     def test_rejects_negative_tolerance(self):
         with pytest.raises(InvalidShape):
@@ -116,6 +116,33 @@ class TestMinimize:
         w0 = MappingMatrix(q)
         w, trace = minimize(p, w0=w0, opts=OptimOptions(max_iter=20))
         assert trace.records[-1].cost <= trace.records[0].cost
+
+    def test_validated_types_only_at_the_boundary(self, monkeypatch):
+        # the loop works on arrays: without a callback it builds only its
+        # result as a MappingMatrix, and no TangentVector, however long it runs
+        built = []
+        for cls in (MappingMatrix, TangentVector):
+            def counting(self, check=cls.__post_init__):
+                built.append(type(self))
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        p = two_class_problem(sigma=0.2, seed=5)
+
+        def opts(n):
+            return OptimOptions(max_iter=n, rel_cost_tol=0.0, grad_norm_tol=0.0)
+
+        for iterations in (1, 8):
+            built.clear()
+            _, trace = minimize(p, opts=opts(iterations))
+            assert trace.iterations == iterations
+            assert built.count(MappingMatrix) <= 2 and TangentVector not in built
+        # with a callback, every report carries one validated pair
+        built.clear()
+        reports = []
+        minimize(p, opts=opts(3), callback=lambda it, w, rg: reports.append(it))
+        assert reports == [0, 1, 2, 3]
+        assert built.count(TangentVector) == 4
 
     def test_wrong_start_shape_rejected(self):
         p = two_class_problem()
