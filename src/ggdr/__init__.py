@@ -30,7 +30,6 @@ from .errors import (
 from .manifold import (
     GrassmannPoint,
     MappingMatrix,
-    PointStack,
     TangentVector,
     geodesic_distance,
     geodesic_step,

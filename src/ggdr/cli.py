@@ -124,6 +124,8 @@ def cmd_train(args) -> int:
     if kb < 1 or (kw is not None and (kw < 1 or kb > kw)):
         raise ValidationError(f"need 1 <= kb <= kw, got kw={kw}, kb={kb}")
     seed = _resolve(args, "seed", int, 0)
+    if seed < 0:
+        raise ValidationError(f"--seed must be nonnegative, got {seed}")
     literal = _resolve(args, "literal-similarity", bool, False)
     init = _resolve(args, "init", str, "identity")
     if init not in ("identity", "random"):
@@ -195,7 +197,7 @@ def cmd_eval(args) -> int:
     if w is not None:
         train, test = _reduce_dataset(train, w), _reduce_dataset(test, w)
     # one nearest-neighbor pass gives both the accuracy and the predictions
-    labels, _, values = _nn_predict(train, test.samples, metric)
+    labels, _, values = _nn_predict(train, test.bases, metric)
     acc = sum(1 for p, t in zip(labels, test.labels) if p == t) / test.size
     if args.preds:
         with open(args.preds, "w", encoding="utf-8") as fh:
@@ -239,7 +241,6 @@ def cmd_gradcheck(args) -> int:
             order=args.order,
             trials=args.trials,
             seed=args.seed,
-            corrupt=args.corrupt,
         )
         worst = max(worst, rep.max_rel_error)
         failures += rep.failures
@@ -324,7 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--ambient", type=int, default=12)
     g.add_argument("--dim", type=int, default=6)
     g.add_argument("--order", type=int, default=2)
-    g.add_argument("--corrupt", type=float, default=0.0, help=argparse.SUPPRESS)
     g.set_defaults(func=cmd_gradcheck)
     return parser
 

@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 
 from .errors import DataFormatError, DimensionMismatch, NumericalHealthWarning
-from .manifold import MappingMatrix, PointStack, orthonormalize
+from .manifold import MappingMatrix, gram_error, orthonormalize
 from .pipeline import LabeledDataset, build_subspace
 
 MANIFEST_NAME = "manifest.tsv"
@@ -75,7 +75,7 @@ def _load_basis(path, matrix: np.ndarray) -> np.ndarray:
         raise DataFormatError(
             f"{path}: basis must be tall (D > n), got {matrix.shape}"
         )
-    err = np.linalg.norm(matrix.T @ matrix - np.eye(order))
+    err = gram_error(matrix)
     if err > BASIS_REPAIR_TOL:
         raise DataFormatError(
             f"{path}: basis deviates from orthonormal by {err:.3e} "
@@ -147,18 +147,16 @@ def load_dataset(directory, order: int | None = None) -> LabeledDataset:
         bases[k] = basis
     bases.setflags(write=False)
     ids, labels, _, _ = zip(*entries)
-    return LabeledDataset(PointStack(bases), labels, ids)
+    return LabeledDataset(bases, labels, ids)
 
 
 def save_dataset(directory, ds: LabeledDataset) -> None:
     """Write a dataset as basis-mode sample files plus the manifest."""
     os.makedirs(directory, exist_ok=True)
     lines = []
-    for i, (point, label, pid) in enumerate(
-        zip(ds.samples, ds.labels, ds.provenance)
-    ):
+    for i, (basis, label, pid) in enumerate(zip(ds.bases, ds.labels, ds.provenance)):
         rel = f"sample_{i:04d}.csv"
-        write_matrix_csv(os.path.join(directory, rel), point.basis)
+        write_matrix_csv(os.path.join(directory, rel), basis)
         lines.append(f"{pid}\t{label}\tbasis\t{rel}\n")
     with open(os.path.join(directory, MANIFEST_NAME), "w", encoding="utf-8") as fh:
         fh.writelines(lines)

@@ -45,6 +45,11 @@ def _frozen_array(a, dtype=np.float64) -> np.ndarray:
     return out
 
 
+def gram_error(b: np.ndarray):
+    """||B^T B - I||_F of a matrix, or of each matrix in a stack."""
+    return np.linalg.norm(b.mT @ b - np.eye(b.shape[-1]), axis=(-2, -1))
+
+
 @dataclass(frozen=True)
 class GrassmannPoint:
     """An n-dimensional subspace of R^D held as a D x n orthonormal basis."""
@@ -55,16 +60,7 @@ class GrassmannPoint:
         basis = _frozen_array(self.basis)
         if basis.ndim != 2:
             raise InvalidShape(f"basis must be 2-d, got shape {basis.shape}")
-        d_ambient, order = basis.shape
-        if not 1 <= order < d_ambient:
-            raise InvalidShape(
-                f"need 1 <= n < D, got n={order}, D={d_ambient}"
-            )
-        gram_err = np.linalg.norm(basis.T @ basis - np.eye(order))
-        if gram_err > ORTHONORMAL_TOL_POINT:
-            raise InvalidShape(
-                f"basis not orthonormal: ||B^T B - I||_F = {gram_err:.3e}"
-            )
+        stack_bases(basis[None])
         object.__setattr__(self, "basis", basis)
 
     @property
@@ -76,29 +72,33 @@ class GrassmannPoint:
         return self.basis.shape[1]
 
 
-class PointStack(tuple):
-    """GrassmannPoints that are views into one read-only (N, D, n) array, ``bases``."""
-
-    def __new__(cls, bases):
-        bases = _frozen_array(bases)
-        if bases.ndim != 3:
-            raise InvalidShape(f"need an (N, D, n) stack, got shape {bases.shape}")
-        self = super().__new__(cls, map(GrassmannPoint, bases))
-        self.bases = bases
-        return self
-
-    def __reduce__(self):
-        return PointStack, (self.bases,)
-
-
 def stack_bases(points) -> np.ndarray:
-    """The bases of equal-shape points as one (N, D, n) array."""
-    if isinstance(points, PointStack):
-        return points.bases
-    bases = [p.basis for p in points]
-    if len({b.shape for b in bases}) > 1:
-        raise DimensionMismatch("points differ in shape")
-    return np.stack(bases) if bases else np.empty((0, 0, 0))
+    """Equal-shape orthonormal bases as one validated, read-only (N, D, n) array.
+
+    Takes an (N, D, n) array, copied unless it and its owners are already
+    read-only, or a sequence of GrassmannPoints; an empty sequence gives a
+    (0, 0, 0) array. Every basis needs 1 <= n < D and ||B^T B - I||_F within
+    ORTHONORMAL_TOL_POINT, checked for the whole stack at once.
+    """
+    if not isinstance(points, np.ndarray):
+        bases = [p.basis for p in points]
+        if len({b.shape for b in bases}) > 1:
+            raise DimensionMismatch("points differ in shape")
+        points = np.stack(bases) if bases else np.empty((0, 0, 0))
+    bases = _frozen_array(points)
+    if bases.ndim != 3:
+        raise InvalidShape(f"need an (N, D, n) stack, got shape {bases.shape}")
+    count, d_ambient, order = bases.shape
+    if count and not 1 <= order < d_ambient:
+        raise InvalidShape(f"need 1 <= n < D, got n={order}, D={d_ambient}")
+    errors = gram_error(bases)
+    bad = np.flatnonzero(~(errors <= ORTHONORMAL_TOL_POINT))
+    if len(bad):
+        raise InvalidShape(
+            f"basis {bad[0]} of {count} not orthonormal: "
+            f"||B^T B - I||_F = {errors[bad[0]]:.3e}"
+        )
+    return bases
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,8 @@ class MappingMatrix:
             raise InvalidShape(
                 f"need 1 <= d <= D, got d={d_target}, D={d_ambient}"
             )
-        gram_err = np.linalg.norm(w.T @ w - np.eye(d_target))
-        if gram_err > ORTHONORMAL_TOL_MAP:
+        gram_err = gram_error(w)
+        if not gram_err <= ORTHONORMAL_TOL_MAP:
             raise InvalidShape(
                 f"map not orthonormal: ||W^T W - I||_F = {gram_err:.3e}"
             )

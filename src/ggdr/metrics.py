@@ -37,6 +37,9 @@ from .manifold import GrassmannPoint, RANK_RTOL
 
 DET_TOL = 1e-12
 
+# objective's pair chunks and pipeline's row blocks take about this many bytes
+PAIR_BLOCK_BYTES = 1 << 18
+
 # guarded roundoff events, keyed by guard name; inspect via health_counters()
 _health: Counter = Counter()
 

@@ -26,6 +26,7 @@ from .manifold import GrassmannPoint, MappingMatrix, orthonormalize, stack_bases
 
 # measure, measure_grad: per-pair references, looked up here by perfbench/tracer.py
 from .metrics import (  # noqa: F401
+    PAIR_BLOCK_BYTES,
     MeasureKind,
     Orientation,
     measure,
@@ -38,37 +39,36 @@ from .metrics import (  # noqa: F401
 # fail loudly when more than this fraction of weighted pairs is skipped
 MAX_SKIP_FRACTION = 0.01
 
-# pairs go in chunks whose gathered d x n bases take about this many bytes
-PAIR_CHUNK_BYTES = 1 << 18
-
 
 @dataclass(frozen=True)
 class Problem:
-    """One training instance: points, neighbor graph, measure, target dim."""
+    """One training instance: points, neighbor graph, measure, target dim.
 
-    points: tuple[GrassmannPoint, ...]
+    ``points`` is one read-only (N, D, n) array of bases, given as such or as
+    a sequence of GrassmannPoints and validated by ``stack_bases``.
+    """
+
+    points: np.ndarray
     graph: AffinityGraph
     kind: MeasureKind
     target_dim: int
     sign_flip_similarity: bool = True
-    # the points' bases, shared with a PointStack; the samples that touch a
-    # pair; each pair (i < j, row-major order) as positions in _active
-    _bases: np.ndarray = field(init=False, repr=False)
+    # the samples that touch a pair; each pair (i < j, row-major order) as
+    # positions in _active
     _active: np.ndarray = field(init=False, repr=False)
     _pair_i: np.ndarray = field(init=False, repr=False)
     _pair_j: np.ndarray = field(init=False, repr=False)
     _weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        points = self.points if isinstance(self.points, tuple) else tuple(self.points)
-        if not points:
+        points = stack_bases(self.points)
+        if not len(points):
             raise InvalidShape("need at least one point")
-        bases = stack_bases(points)
         if self.graph.size != len(points):
             raise DimensionMismatch(
                 f"graph size {self.graph.size} != {len(points)} points"
             )
-        ambient, order = bases.shape[1:]
+        ambient, order = points.shape[1:]
         if not order <= self.target_dim <= ambient:
             raise InvalidShape(
                 f"need n <= d <= D, got n={order}, d={self.target_dim}, D={ambient}"
@@ -77,7 +77,6 @@ class Problem:
         rows, cols = np.nonzero(np.triu(gm, 1))
         active, ends = np.unique(np.concatenate([rows, cols]), return_inverse=True)
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "_bases", bases)
         object.__setattr__(self, "_active", active)
         object.__setattr__(self, "_pair_i", ends[: len(rows)])
         object.__setattr__(self, "_pair_j", ends[len(rows) :])
@@ -85,11 +84,11 @@ class Problem:
 
     @property
     def ambient_dim(self) -> int:
-        return self.points[0].ambient_dim
+        return self.points.shape[1]
 
     @property
     def order(self) -> int:
-        return self.points[0].order
+        return self.points.shape[2]
 
     @property
     def pair_sign(self) -> float:
@@ -123,12 +122,12 @@ def _checked_map(w, p: Problem) -> np.ndarray:
 
 def _reduce_active(wm: np.ndarray, p: Problem):
     """Y = W^T X and its QR for the samples that touch a pair, in _active order."""
-    y = np.matmul(wm.T, p._bases)[p._active]
+    y = np.matmul(wm.T, p.points)[p._active]
     return (y, *orthonormalize(y))
 
 
 def _pair_chunks(p: Problem):
-    step = max(1, PAIR_CHUNK_BYTES // (8 * p.target_dim * p.order))
+    step = max(1, PAIR_BLOCK_BYTES // (8 * p.target_dim * p.order))
     for start in range(0, len(p._weights), step):
         yield slice(start, start + step)
 
@@ -191,5 +190,5 @@ def cost_and_grad(w, p: Problem) -> tuple[float, np.ndarray, int]:
     dy = qr_pullback(y, q, r, p.pair_sign * dq)
     # sum X_i dY_i^T sample by sample: no reshaped copy of the D x n bases
     for k, i in enumerate(p._active):
-        grad += p._bases[i] @ dy[k].T
+        grad += p.points[i] @ dy[k].T
     return p.pair_sign * total, grad, skipped

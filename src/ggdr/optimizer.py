@@ -48,7 +48,10 @@ class OptimOptions:
     restart_period: int | None = None  # None: d(D - d), the manifold dimension
 
     def __post_init__(self):
-        if self.max_iter < 0 or self.rel_cost_tol < 0 or self.grad_norm_tol < 0:
+        # written as "not >= 0" so that NaN fails too
+        if not (
+            self.max_iter >= 0 and self.rel_cost_tol >= 0 and self.grad_norm_tol >= 0
+        ):
             raise InvalidShape("iteration cap and tolerances must be nonnegative")
         if self.restart_period is not None and self.restart_period < 1:
             raise InvalidShape(

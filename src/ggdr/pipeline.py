@@ -14,6 +14,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,16 +29,11 @@ from .errors import (
     RankDeficient,
     SingularPair,
 )
-from .manifold import (
-    GrassmannPoint,
-    MappingMatrix,
-    PointStack,
-    orthonormalize,
-    stack_bases,
-)
+from .manifold import GrassmannPoint, MappingMatrix, orthonormalize, stack_bases
 
 # measure, reduce_point: per-pair references, looked up here by perfbench/tracer.py
 from .metrics import (  # noqa: F401
+    PAIR_BLOCK_BYTES,
     MeasureKind,
     Orientation,
     health_counters,
@@ -51,51 +47,53 @@ FD_STEP = 1e-6
 GRAD_TOL = 1e-5
 SVD_GAP_RTOL = 1e-10
 
-# all-pairs work goes in row blocks whose products take about this many bytes
-PAIR_BLOCK_BYTES = 1 << 18
-
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Parallel lists of subspace points, class labels, and source ids.
+    """Subspace samples with class labels and source ids.
 
-    ``samples`` is a PointStack: views into one read-only (N, D, n) array.
+    ``bases`` is one read-only (N, D, n) array, given as such or as a
+    sequence of GrassmannPoints and validated by ``stack_bases``.
     """
 
-    samples: tuple[GrassmannPoint, ...]
+    bases: np.ndarray
     labels: tuple
     provenance: tuple[str, ...]
 
     def __post_init__(self):
-        samples = self.samples
-        if not isinstance(samples, tuple):
-            samples = tuple(samples)
+        bases = stack_bases(self.bases)
         labels = tuple(self.labels)
         provenance = tuple(self.provenance)
-        if not (len(samples) == len(labels) == len(provenance)):
+        if not (len(bases) == len(labels) == len(provenance)):
             raise DimensionMismatch(
-                f"got {len(samples)} samples, {len(labels)} labels, "
+                f"got {len(bases)} samples, {len(labels)} labels, "
                 f"{len(provenance)} provenance entries"
             )
-        if not samples:
+        if not len(bases):
             raise EmptyTrainingSet("dataset is empty")
-        if not isinstance(samples, PointStack):
-            samples = PointStack(stack_bases(samples))
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "bases", bases)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "provenance", provenance)
 
+    def __reduce__(self):
+        return LabeledDataset, (self.bases, self.labels, self.provenance)
+
+    @cached_property
+    def samples(self) -> tuple[GrassmannPoint, ...]:
+        """GrassmannPoint views of ``bases``, built on first use."""
+        return tuple(map(GrassmannPoint, self.bases))
+
     @property
     def size(self) -> int:
-        return len(self.samples)
+        return len(self.bases)
 
     @property
     def ambient_dim(self) -> int:
-        return self.samples[0].ambient_dim
+        return self.bases.shape[1]
 
     @property
     def order(self) -> int:
-        return self.samples[0].order
+        return self.bases.shape[2]
 
     def class_sizes(self) -> Counter:
         return Counter(self.labels)
@@ -103,7 +101,7 @@ class LabeledDataset:
     def subset(self, indices) -> "LabeledDataset":
         idx = list(indices)
         return LabeledDataset(
-            tuple(self.samples[i] for i in idx),
+            self.bases[idx],
             tuple(self.labels[i] for i in idx),
             tuple(self.provenance[i] for i in idx),
         )
@@ -135,8 +133,10 @@ class SynthParams:
             raise InvalidShape(
                 f"need order < ambient dim, got {self.order} >= {self.ambient_dim}"
             )
-        if self.within_noise < 0:
-            raise InvalidShape("noise scale must be nonnegative")
+        if self.seed < 0:
+            raise InvalidShape(f"seed must be nonnegative, got {self.seed}")
+        if not 0.0 <= self.within_noise < np.inf:
+            raise InvalidShape("noise scale must be finite and nonnegative")
         if self.signal_dim is not None and not (
             self.order < self.signal_dim <= self.ambient_dim
         ):
@@ -206,6 +206,7 @@ def pairwise_dissimilarity(samples, kind: MeasureKind) -> np.ndarray:
     Similarity-like measures are flipped (1 - value) so that smaller always
     means closer; only the ordering matters for neighbor selection. Each
     pair is evaluated once and mirrored, so the matrix is exactly symmetric.
+    ``samples`` are GrassmannPoints or an (N, D, n) array, as for stack_bases.
     """
     bases = stack_bases(samples)
     out = np.zeros((len(bases), len(bases)))
@@ -221,9 +222,7 @@ def pairwise_dissimilarity(samples, kind: MeasureKind) -> np.ndarray:
 
 def _nn_predict(train: LabeledDataset, test_samples, kind: MeasureKind):
     """Labels, training indices, and measure values of each nearest neighbor."""
-    if train.size == 0:
-        raise EmptyTrainingSet("no training samples")
-    test, bases = stack_bases(test_samples), train.samples.bases
+    test, bases = stack_bases(test_samples), train.bases
     if not len(test):
         return [], [], []
     if test.shape[1:] != bases.shape[1:]:
@@ -241,7 +240,10 @@ def _nn_predict(train: LabeledDataset, test_samples, kind: MeasureKind):
 
 
 def nn_classify(train: LabeledDataset, test_samples, kind: MeasureKind) -> list:
-    """Nearest-neighbor labels under one measure; ties go to the lowest index."""
+    """Nearest-neighbor labels under one measure; ties go to the lowest index.
+
+    ``test_samples`` are GrassmannPoints or an (M, D, n) array.
+    """
     return _nn_predict(train, test_samples, kind)[0]
 
 
@@ -251,8 +253,8 @@ def _reduce_dataset(ds: LabeledDataset, w: MappingMatrix) -> LabeledDataset:
         raise DimensionMismatch(
             f"ambient dims differ: map {w.ambient_dim}, points {ds.ambient_dim}"
         )
-    q, _ = orthonormalize(np.matmul(w.w.T, ds.samples.bases))
-    return LabeledDataset(PointStack(q), ds.labels, ds.provenance)
+    q, _ = orthonormalize(np.matmul(w.w.T, ds.bases))
+    return LabeledDataset(q, ds.labels, ds.provenance)
 
 
 def evaluate(
@@ -265,7 +267,7 @@ def evaluate(
     if w is not None:
         train = _reduce_dataset(train, w)
         test = _reduce_dataset(test, w)
-    preds = nn_classify(train, test.samples, kind)
+    preds = nn_classify(train, test.bases, kind)
     hits = sum(1 for p, t in zip(preds, test.labels) if p == t)
     return hits / test.size
 
@@ -294,7 +296,8 @@ def synth_dataset(params: SynthParams) -> LabeledDataset:
     sig = None
     if params.signal_dim is not None and params.signal_dim < d_ambient:
         sig, _ = orthonormalize(rng.standard_normal((d_ambient, params.signal_dim)))
-    samples, labels, provenance = [], [], []
+    bases = np.empty((params.classes * params.samples_per_class, d_ambient, order))
+    labels, provenance = [], []
     for c in range(params.classes):
         if sig is None:
             center, _ = orthonormalize(rng.standard_normal((d_ambient, order)))
@@ -317,10 +320,10 @@ def synth_dataset(params: SynthParams) -> LabeledDataset:
                         OUT_OF_SIGNAL_NOISE_FACTOR * sigma * _unit_columns(t_out)
                     )
                 basis, _ = orthonormalize(center + step)
-            samples.append(GrassmannPoint(basis))
+            bases[len(labels)] = basis
             labels.append(c)
             provenance.append(f"synth:c{c}:s{s}")
-    return LabeledDataset(tuple(samples), tuple(labels), tuple(provenance))
+    return LabeledDataset(bases, labels, provenance)
 
 
 def demo_analog_params(within_noise: float, seed: int) -> SynthParams:
@@ -353,10 +356,10 @@ def fit(
     """Build the neighbor graph on the original manifold and train the map."""
     if kw is None:
         kw = default_kw(train.labels)
-    dist = pairwise_dissimilarity(train.samples, kind)
+    dist = pairwise_dissimilarity(train.bases, kind)
     graph = build_affinity(train.labels, dist, kw=kw, kb=kb)
     problem = Problem(
-        train.samples,
+        train.bases,
         graph,
         kind,
         target_dim=target_dim,
@@ -448,20 +451,18 @@ def gradient_check(
     order: int,
     trials: int,
     seed: int,
-    corrupt: float = 0.0,
 ) -> GradCheckReport:
     """Compare the analytic map gradient with central finite differences.
 
     Each trial draws a random map and a random two-point problem, then probes
     every entry of the map with step FD_STEP. Trials whose analytic gradient
     hits a guarded singular configuration are skipped and counted, not
-    failed. ``corrupt`` adds a constant to the analytic gradient (a test hook
-    for the failure path).
+    failed.
     """
-    if min(trials, ambient_dim, target_dim, order) < 1:
+    if min(trials, ambient_dim, target_dim, order) < 1 or seed < 0:
         raise InvalidShape(
-            f"trials and dimensions must be positive, got trials={trials}, "
-            f"D={ambient_dim}, d={target_dim}, n={order}"
+            "trials and dimensions must be positive and the seed nonnegative, got "
+            f"trials={trials}, D={ambient_dim}, d={target_dim}, n={order}, seed={seed}"
         )
     rng = np.random.default_rng(seed)
     graph = AffinityGraph(np.array([[0, 1], [1, 0]]), kw=1, kb=1)
@@ -473,14 +474,9 @@ def gradient_check(
         wq, _ = orthonormalize(rng.standard_normal((ambient_dim, target_dim)))
         x1, _ = orthonormalize(rng.standard_normal((ambient_dim, order)))
         x2, _ = orthonormalize(rng.standard_normal((ambient_dim, order)))
-        problem = Problem(
-            (GrassmannPoint(x1), GrassmannPoint(x2)),
-            graph,
-            kind,
-            target_dim=target_dim,
-        )
+        problem = Problem(np.stack([x1, x2]), graph, kind, target_dim=target_dim)
         try:
-            analytic = euclidean_grad(wq, problem) + corrupt
+            analytic = euclidean_grad(wq, problem)
         except SingularPair:
             skipped += 1
             continue

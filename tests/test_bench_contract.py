@@ -1,27 +1,32 @@
-"""The names the benchmark's tracer looks up in the package must exist.
+"""The benchmark's view of the package must keep working.
 
 ``perfbench/tracer.py`` patches functions by (module, attribute) from
-outside the package; a rename or deletion under ``src/`` would otherwise
-only surface as a failed ``perfbench/run.py --trace 1`` run.
+outside the package, and ``perfbench/workloads.py`` counts every failed
+operation of a round; a rename, a deletion or a broken check under ``src/``
+would otherwise only surface as a failed ``perfbench/run.py`` run.
 """
 
 import importlib
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    # executed from its source text, so no bytecode is written next to it
-    module = types.ModuleType("perfbench_tracer")
-    exec(compile(TRACER_PATH.read_text(), str(TRACER_PATH), "exec"), module.__dict__)
+def _load(name):
+    # executed from its source text, so no bytecode is written next to it;
+    # registered first, because dataclasses look their module up by name
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    sys.modules[module.__name__] = module
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
 
-TRACER = _load_tracer()
+TRACER = _load("tracer")
 SITES = sorted(set(TRACER.SPAN_SITES) | set(TRACER.LEAF_SITES))
 
 
@@ -37,3 +42,15 @@ def test_health_counters_exist():
 
     assert callable(metrics.health_counters)
     assert isinstance(metrics.health_counters(), dict)
+
+
+def test_demo_round_has_no_failed_operation(tmp_path):
+    workloads = _load("workloads")
+    demo = workloads.WORKLOADS["demo"]
+    workloads.generate(demo, 1, str(tmp_path))
+    inputs, setup = workloads.prepare(demo, str(tmp_path))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    rnd = workloads.run_round(demo, inputs, str(out_dir))
+    assert setup.problems + rnd.problems == []
+    assert (setup.failed, rnd.failed, len(rnd.fits)) == (0, 0, 15)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ggdr import cli
+from ggdr import cli, pipeline
 from ggdr.cli import main
 
 
@@ -37,6 +37,16 @@ class TestSynth:
         assert run(synth_args(b)) == 0
         for name in sorted(p.name for p in a.iterdir()):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--seed", -1), ("--noise", "nan"), ("--noise", "inf")]
+    )
+    def test_bad_seed_or_noise(self, tmp_path, capsys, flag, value):
+        args = synth_args(tmp_path / "ds")
+        args[args.index(flag) + 1] = value
+        assert run(args) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "ds").exists()
 
 
 class TestTrain:
@@ -114,6 +124,19 @@ class TestTrain:
         ])
         assert code == 2
         assert "restart period" in capsys.readouterr().err
+        assert not (tmp_path / "w.csv").exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--init", "random", "--seed", -5], ["--rel-tol", "nan"], ["--grad-tol", "nan"]],
+    )
+    def test_bad_seed_or_tolerance(self, tmp_path, dataset_dir, capsys, extra):
+        code = run([
+            "train", "--data", dataset_dir, "--metric", "p", "--dim", 4,
+            "--order", 2, "--out", tmp_path / "w.csv", *extra,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "w.csv").exists()
 
     def test_corrupt_sample_file(self, tmp_path, dataset_dir):
@@ -222,11 +245,16 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "failures=0" in out
 
-    def test_corrupted_gradient_fails(self):
+    def test_corrupted_gradient_fails(self, monkeypatch):
+        grad = pipeline.euclidean_grad
+        monkeypatch.setattr(pipeline, "euclidean_grad", lambda w, p: grad(w, p) + 0.05)
         assert run([
             "gradcheck", "--metric", "p", "--trials", 3, "--seed", 3,
-            "--corrupt", "0.05",
         ]) == 3
+
+    def test_negative_seed(self, capsys):
+        assert run(["gradcheck", "--metric", "p", "--seed", -1]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize(
         "flag, value", [("--order", 0), ("--dim", 0), ("--trials", 0), ("--trials", -1)]

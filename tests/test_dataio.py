@@ -56,14 +56,13 @@ class TestDatasetRoundTrip:
         assert loaded.size == ds.size
         assert tuple(str(l) for l in ds.labels) == loaded.labels
         assert loaded.provenance == ds.provenance
-        for a, b in zip(ds.samples, loaded.samples):
-            assert np.abs(a.basis - b.basis).max() < 1e-12
+        assert np.abs(ds.bases - loaded.bases).max() < 1e-12
 
     def test_bases_loaded_into_one_stack(self, tmp_path):
         save_dataset(tmp_path / "ds", synth_dataset(SynthParams(2, 3, 8, 2, 0.2, 4)))
         loaded = load_dataset(tmp_path / "ds")
-        assert loaded.samples.bases.shape == (6, 8, 2)
-        assert all(s.basis.base is loaded.samples.bases for s in loaded.samples)
+        assert loaded.bases.shape == (6, 8, 2) and loaded.bases.base is None
+        assert not loaded.bases.flags.writeable
 
     @pytest.mark.parametrize("mode", ["basis", "raw"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -111,7 +110,7 @@ class TestDatasetRoundTrip:
         write_matrix_csv(d / "f.csv", rng.standard_normal((8, 5)))
         (d / "manifest.tsv").write_text("s0\tA\traw\tf.csv\n")
         ds = load_dataset(d, order=2)
-        assert ds.samples[0].basis.shape == (8, 2)
+        assert ds.bases.shape == (1, 8, 2)
 
     def test_raw_mode_requires_order(self, tmp_path, rng):
         d = tmp_path / "ds"
@@ -141,7 +140,7 @@ class TestBasisToleranceLadder:
         d = self._write(tmp_path, basis)
         with pytest.warns(NumericalHealthWarning, match="re-orthonormalized"):
             ds = load_dataset(d)
-        b = ds.samples[0].basis
+        b = ds.bases[0]
         assert np.linalg.norm(b.T @ b - np.eye(2)) < 1e-10
 
     def test_badly_off_rejected(self, tmp_path):

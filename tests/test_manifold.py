@@ -1,5 +1,3 @@
-import pickle
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +7,6 @@ from ggdr.errors import DimensionMismatch, InvalidShape, RankDeficient
 from ggdr.manifold import (
     GrassmannPoint,
     MappingMatrix,
-    PointStack,
     TangentVector,
     geodesic_distance,
     geodesic_step,
@@ -101,29 +98,40 @@ class TestStackedOrthonormalize:
             orthonormalize(m)
 
 
-class TestPointStack:
-    def test_points_are_views_of_one_read_only_array(self, rng):
+class TestStackBases:
+    def test_read_only_array_passes_through(self, rng):
         bases, _ = orthonormalize(rng.standard_normal((4, 6, 2)))
-        stack = PointStack(bases)
-        assert len(stack) == 4 and not stack.bases.flags.writeable
-        assert all(p.basis.base is stack.bases for p in stack)
-        assert stack_bases(stack) is stack.bases
-        assert_allclose(stack_bases(list(stack)), stack.bases, atol=0)
-
-    def test_pickle_round_trip(self, rng):
-        bases, _ = orthonormalize(rng.standard_normal((3, 6, 2)))
-        again = pickle.loads(pickle.dumps(PointStack(bases)))
-        assert isinstance(again, PointStack) and (again.bases == bases).all()
+        stack = stack_bases(bases)
+        assert not stack.flags.writeable
+        assert stack_bases(stack) is stack
+        assert stack_bases(stack[1:3]).base is stack
+        points = [GrassmannPoint(b) for b in stack]
+        assert_allclose(stack_bases(points), stack, atol=0)
 
     def test_writeable_input_is_copied(self, rng):
         bases, _ = orthonormalize(rng.standard_normal((3, 6, 2)))
-        stack = PointStack(bases)
+        stack = stack_bases(bases)
         bases[0] = 0.0
-        assert np.abs(stack[0].basis).max() > 0.0
+        assert np.abs(stack[0]).max() > 0.0
 
     def test_mixed_shapes_rejected(self):
         with pytest.raises(DimensionMismatch):
             stack_bases([random_point(6, 2, 0), random_point(6, 3, 1)])
+
+    def test_empty_sequence(self):
+        assert stack_bases([]).shape == (0, 0, 0)
+
+    @pytest.mark.parametrize("shape", [(3, 6), (3, 6, 6), (3, 6, 0), (2, 3, 4, 1)])
+    def test_bad_shapes_rejected(self, shape):
+        with pytest.raises(InvalidShape):
+            stack_bases(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [2.0, np.nan, np.inf])
+    def test_non_orthonormal_basis_named(self, rng, bad):
+        bases, _ = orthonormalize(rng.standard_normal((4, 6, 2)))
+        bases[2, 0, 0] = bad
+        with pytest.raises(InvalidShape, match="basis 2 of 4 not orthonormal"):
+            stack_bases(bases)
 
 
 class TestGrassmannPoint:
@@ -134,6 +142,10 @@ class TestGrassmannPoint:
     def test_rejects_square(self):
         with pytest.raises(InvalidShape):
             GrassmannPoint(np.eye(3))
+
+    def test_rejects_nan(self):
+        with pytest.raises(InvalidShape):
+            GrassmannPoint(np.full((4, 2), np.nan))
 
     def test_immutable(self):
         p = random_point(5, 2, 0)

@@ -167,10 +167,9 @@ class TestCost:
         kind = MeasureKind.BINET_CAUCHY_KERNEL
         p = rand_problem(kind, 4, 9, 4, 2, seed=4)
         w = rand_w(9, 4, 8)
-        rotated_points = list(p.points)
-        h = random_orthogonal(2, rng)
-        rotated_points[1] = GrassmannPoint(rotated_points[1].basis @ h)
-        p_rot = Problem(tuple(rotated_points), p.graph, kind, target_dim=4)
+        rotated_points = p.points.copy()
+        rotated_points[1] = rotated_points[1] @ random_orthogonal(2, rng)
+        p_rot = Problem(rotated_points, p.graph, kind, target_dim=4)
         assert cost(w, p_rot) == pytest.approx(cost(w, p), abs=1e-9)
 
     def test_similarity_orientation(self):
@@ -306,7 +305,7 @@ def reference_cost_and_grad(wm, p):
     ]
     reduced = {}
     for i in sorted({k for i, j, _ in pairs for k in (i, j)}):
-        y = wm.T @ p.points[i].basis
+        y = wm.T @ p.points[i]
         reduced[i] = (y, *orthonormalize(y))
     total, skipped, dq = 0.0, 0, {}
     for i, j, weight in pairs:
@@ -325,7 +324,7 @@ def reference_cost_and_grad(wm, p):
     grad = np.zeros_like(wm)
     for i, d in dq.items():
         y, q, r = reduced[i]
-        grad += p.points[i].basis @ qr_pullback(y, q, r, d).T
+        grad += p.points[i] @ qr_pullback(y, q, r, d).T
     return total, grad, skipped
 
 
@@ -354,7 +353,7 @@ class TestBatchedMatchesPerPairReference:
         d_ambient, d_target, order = 12, 6, 3
         if chunk_pairs is not None:
             monkeypatch.setattr(
-                objective, "PAIR_CHUNK_BYTES", 8 * d_target * order * chunk_pairs
+                objective, "PAIR_BLOCK_BYTES", 8 * d_target * order * chunk_pairs
             )
         pts = tuple(random_point(d_ambient, order, 40 + s) for s in range(12))
         edges = [(i, j) for i in range(10) for j in range(i + 1, 10) if (i + j) % 3]
@@ -416,7 +415,7 @@ class TestBatchedMatchesPerPairReference:
 class TestSharedBases:
     def test_dataset_stack_shared_by_problem(self):
         ds = synth_dataset(SynthParams(2, 4, 9, 2, 0.2, 3))
-        assert not ds.samples.bases.flags.writeable
-        assert all(np.shares_memory(s.basis, ds.samples.bases) for s in ds.samples)
+        p = Problem(ds.bases, zero_graph(ds.size), MeasureKind.PROJECTION_SQ, 4)
+        assert p.points is ds.bases and not p.points.flags.writeable
         p = Problem(ds.samples, zero_graph(ds.size), MeasureKind.PROJECTION_SQ, 4)
-        assert p._bases is ds.samples.bases
+        assert (p.points == ds.bases).all()

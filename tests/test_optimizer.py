@@ -19,9 +19,9 @@ KIND = MeasureKind.PROJECTION_SQ
 
 
 def training_problem(ds, kind, target_dim, kb=1):
-    dist = pairwise_dissimilarity(ds.samples, kind)
+    dist = pairwise_dissimilarity(ds.bases, kind)
     graph = build_affinity(ds.labels, dist, kw=default_kw(ds.labels), kb=kb)
-    return Problem(ds.samples, graph, kind, target_dim=target_dim)
+    return Problem(ds.bases, graph, kind, target_dim=target_dim)
 
 
 def two_class_problem(sigma=0.0, seed=42, target_dim=6):
@@ -38,6 +38,11 @@ class TestOptions:
     def test_rejects_negative_tolerance(self):
         with pytest.raises(InvalidShape):
             OptimOptions(rel_cost_tol=-1.0)
+
+    @pytest.mark.parametrize("field", ["rel_cost_tol", "grad_norm_tol"])
+    def test_rejects_nan_tolerance(self, field):
+        with pytest.raises(InvalidShape):
+            OptimOptions(**{field: float("nan")})
 
 
 class TestMinimize:

@@ -1,6 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 
+from ggdr import manifold
+from ggdr.dataio import load_dataset, save_dataset
 from ggdr.errors import (
     DegenerateClass,
     EmptyTrainingSet,
@@ -13,6 +17,7 @@ from ggdr.manifold import (
     GrassmannPoint,
     MappingMatrix,
     geodesic_distance,
+    orthonormalize,
     random_point,
 )
 from ggdr.metrics import MeasureKind, measure
@@ -25,6 +30,7 @@ from ggdr.pipeline import (
     build_subspace,
     demo_analog_params,
     evaluate,
+    fit,
     gradient_check,
     grid_search,
     nn_classify,
@@ -41,6 +47,46 @@ def tiny_dataset(seed=0, classes=3, per=4, d_ambient=10, order=2, noise=0.15):
     return synth_dataset(
         SynthParams(classes, per, d_ambient, order, noise, seed)
     )
+
+
+class TestLabeledDataset:
+    def test_samples_are_views_of_one_read_only_array(self, rng):
+        bases, _ = orthonormalize(rng.standard_normal((4, 6, 2)))
+        ds = LabeledDataset(bases, "abab", "0123")
+        bases[0] = 0.0
+        assert not ds.bases.flags.writeable and np.abs(ds.bases[0]).max() > 0.0
+        assert ds.samples is ds.samples and len(ds.samples) == 4
+        assert all(s.basis.base is ds.bases for s in ds.samples)
+        assert (LabeledDataset(ds.samples, "abab", "0123").bases == ds.bases).all()
+
+    def test_pickle_round_trip(self):
+        ds = tiny_dataset()
+        ds.samples  # the cached views are not pickled; bases come back read-only
+        again = pickle.loads(pickle.dumps(ds))
+        assert (again.bases == ds.bases).all() and not again.bases.flags.writeable
+        assert (again.labels, again.provenance) == (ds.labels, ds.provenance)
+
+    def test_non_orthonormal_stack_rejected(self):
+        bases = tiny_dataset().bases.copy()
+        bases[3] *= 1.01
+        with pytest.raises(InvalidShape, match="basis 3 of 12 not orthonormal"):
+            LabeledDataset(bases, range(12), range(12))
+
+    def test_pipeline_builds_no_point_objects(self, tmp_path, monkeypatch):
+        built = []
+        check = manifold.GrassmannPoint.__post_init__
+        monkeypatch.setattr(
+            manifold.GrassmannPoint,
+            "__post_init__",
+            lambda point: (built.append(1), check(point)),
+        )
+        ds = tiny_dataset(seed=15)
+        train, test = ds.subset(range(0, 12, 2)), ds.subset(range(1, 12, 2))
+        save_dataset(tmp_path / "train", train)
+        train = load_dataset(tmp_path / "train")
+        w, _, _ = fit(train, MeasureKind.PROJECTION_SQ, 4, opts=OptimOptions(max_iter=3))
+        evaluate(train, test, MeasureKind.PROJECTION_SQ, w)
+        assert built == []
 
 
 class TestBuildSubspace:
@@ -204,18 +250,25 @@ class TestSynthDataset:
         with pytest.raises(InvalidShape):
             SynthParams(2, 3, 9, 3, 0.1, 0, signal_dim=2)
 
+    @pytest.mark.parametrize(
+        "noise, seed", [(np.nan, 0), (np.inf, 0), (-0.1, 0), (0.1, -1)]
+    )
+    def test_noise_and_seed_validation(self, noise, seed):
+        with pytest.raises(InvalidShape):
+            SynthParams(2, 3, 9, 2, noise, seed)
+
 
 class TestPairwiseDissimilarity:
     def test_symmetric_zero_diagonal(self):
         ds = tiny_dataset(seed=8)
         for kind in ALL_KINDS:
-            d = pairwise_dissimilarity(ds.samples, kind)
+            d = pairwise_dissimilarity(ds.bases, kind)
             assert (d == d.T).all() and (np.diag(d) == 0).all()
             assert (d >= 0).all()
 
     def test_similarity_flipped(self):
         ds = tiny_dataset(seed=9)
-        d_bck = pairwise_dissimilarity(ds.samples, MeasureKind.BINET_CAUCHY_KERNEL)
+        d_bck = pairwise_dissimilarity(ds.bases, MeasureKind.BINET_CAUCHY_KERNEL)
         v = measure(MeasureKind.BINET_CAUCHY_KERNEL, ds.samples[0], ds.samples[1])
         assert d_bck[0, 1] == pytest.approx(1.0 - v, abs=1e-12)
 
@@ -229,7 +282,7 @@ class TestBlockwisePairTable:
     def test_pairwise_matches_per_pair_measure(self):
         ds = tiny_dataset(seed=12, classes=2, per=5, d_ambient=7)
         for kind in ALL_KINDS:
-            d = pairwise_dissimilarity(ds.samples, kind)
+            d = pairwise_dissimilarity(ds.bases, kind)
             assert (d == d.T).all() and (np.diag(d) == 0).all()
             for i in range(ds.size):
                 for j in range(i + 1, ds.size):
@@ -307,11 +360,15 @@ class TestGradientCheck:
         assert rep.failures == 0 and rep.ok()
         assert rep.max_rel_error <= 1e-5
 
-    def test_corruption_hook_detected(self):
-        rep = gradient_check(
-            MeasureKind.PROJECTION_SQ, 12, 6, 2, trials=3, seed=1, corrupt=0.05
-        )
+    def test_corruption_hook_detected(self, monkeypatch):
+        grad = pipeline.euclidean_grad
+        monkeypatch.setattr(pipeline, "euclidean_grad", lambda w, p: grad(w, p) + 0.05)
+        rep = gradient_check(MeasureKind.PROJECTION_SQ, 12, 6, 2, trials=3, seed=1)
         assert rep.failures > 0 and not rep.ok()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidShape):
+            gradient_check(MeasureKind.PROJECTION_SQ, 12, 6, 2, trials=1, seed=-1)
 
     def test_near_coincident_pair_is_guarded_not_failed(self):
         # shared-seed draw produces distinct pairs; force the guard instead
