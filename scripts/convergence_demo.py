@@ -30,8 +30,9 @@ def main():
         trace.write_csv(path, params={"metric": kind.value, "dim": args.dim})
         head = ", ".join(f"{r.cost:.3f}" for r in trace.records[:6])
         print(
-            f"{kind.value:>3}: {trace.iterations:3d} iterations "
-            f"({trace.reason}), cost {head}, ... , {trace.final_cost:.6f} "
+            f"{kind.value:>3}: {trace.iterations:3d} iterations, "
+            f"{trace.objective_evals:4d} evaluations ({trace.reason}), "
+            f"cost {head}, ... , {trace.final_cost:.6f} "
             f"-> {path}"
         )
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DegenerateClass, DimensionMismatch, InvalidK, InvalidShape
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffinityGraph:
     """Symmetric N x N integer matrix with entries in {-1, 0, +1}."""
 

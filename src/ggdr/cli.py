@@ -178,7 +178,7 @@ def cmd_train(args) -> int:
         graph.to_csv(args.graph_out)
     print(
         f"final_cost={trace.final_cost!r} iterations={trace.iterations} "
-        f"reason={trace.reason}"
+        f"reason={trace.reason} evaluations={trace.objective_evals}"
     )
     return EXIT_OK
 
@@ -197,7 +197,7 @@ def cmd_eval(args) -> int:
     if w is not None:
         train, test = _reduce_dataset(train, w), _reduce_dataset(test, w)
     # one nearest-neighbor pass gives both the accuracy and the predictions
-    labels, _, values = _nn_predict(train, test.bases, metric)
+    labels, _, values = _nn_predict(train, test, metric)
     acc = sum(1 for p, t in zip(labels, test.labels) if p == t) / test.size
     if args.preds:
         with open(args.preds, "w", encoding="utf-8") as fh:

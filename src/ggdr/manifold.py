@@ -6,7 +6,8 @@ right-multiplication by an n x n orthogonal matrix. The search space for the
 learned map is itself a Grassmannian G(d, D), so the same machinery provides
 geodesics and parallel transport for the optimizer.
 
-All types are immutable after construction and all operations are pure.
+All types are immutable after construction and compare and hash by identity
+(an array field has no single truth value); all operations are pure.
 The types check their invariants (orthonormality, horizontality) where data
 enters or leaves the library; the geodesic, the transport and the tangent
 projection work on plain D x d arrays, the optimizer's working state.
@@ -50,7 +51,7 @@ def gram_error(b: np.ndarray):
     return np.linalg.norm(b.mT @ b - np.eye(b.shape[-1]), axis=(-2, -1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrassmannPoint:
     """An n-dimensional subspace of R^D held as a D x n orthonormal basis."""
 
@@ -101,7 +102,7 @@ def stack_bases(points) -> np.ndarray:
     return bases
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MappingMatrix:
     """The learned D x d orthonormal map, a point on G(d, D).
 
@@ -136,7 +137,7 @@ class MappingMatrix:
         return self.w.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TangentVector:
     """A horizontal direction at a point of G(d, D): base^T h = 0."""
 
@@ -301,6 +302,8 @@ def random_point(ambient_dim: int, order: int, seed: int) -> GrassmannPoint:
     """Seeded uniform-ish random subspace: QR of a standard normal matrix."""
     if not 1 <= order < ambient_dim:
         raise InvalidShape(f"need 1 <= n < D, got n={order}, D={ambient_dim}")
+    if seed < 0:
+        raise InvalidShape(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     q, _ = orthonormalize(rng.standard_normal((ambient_dim, order)))
     return GrassmannPoint(q)

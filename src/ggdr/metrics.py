@@ -73,7 +73,7 @@ class MeasureKind(enum.Enum):
         return Orientation.DISTANCE_LIKE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairGradient:
     """Partial derivatives of a measure w.r.t. both orthonormal arguments."""
 

@@ -40,7 +40,7 @@ from .metrics import (  # noqa: F401
 MAX_SKIP_FRACTION = 0.01
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Problem:
     """One training instance: points, neighbor graph, measure, target dim.
 

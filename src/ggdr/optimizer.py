@@ -6,6 +6,12 @@ via a CG coefficient, Armijo-backtrack along the exact geodesic, and
 re-orthonormalize the iterate. Polak-Ribiere+ (with automatic reset) is the
 default coefficient; Fletcher-Reeves is available for comparison, and the
 periodic restart falls back to steepest descent every d(D-d) iterations.
+
+Only the first line search of a fit starts at INITIAL_STEP. Every later one
+starts at min(INITIAL_STEP, 2 * alpha_prev * slope_prev / slope), from the
+last accepted step alpha_prev and the slopes <rgrad, h> of that search and
+this one: the initial-step rule of Nocedal & Wright, Numerical Optimization,
+section 3.5, doubled, so the rule's own prediction is the second trial.
 """
 
 from __future__ import annotations
@@ -25,9 +31,10 @@ from .manifold import (
 )
 from .objective import Problem, cost, cost_and_grad
 
-# Armijo backtracking: the first trial step, the sufficient-decrease constant,
-# the factor that shrinks a rejected step, and the rejections allowed per
-# iteration before the line search fails
+# Armijo backtracking: the first trial step of a fit's first search (later
+# searches start from the last accepted step, at most this), the
+# sufficient-decrease constant, the factor that shrinks a rejected step, and
+# the rejections allowed per iteration before the line search fails
 INITIAL_STEP = 1.0
 SUFFICIENT_DECREASE = 1e-4
 CONTRACTION = 0.5
@@ -82,6 +89,20 @@ class OptimTrace:
     def iterations(self) -> int:
         """Number of accepted steps."""
         return sum(1 for rec in self.records if rec.step > 0)
+
+    @property
+    def objective_evals(self) -> int:
+        """Objective evaluations the fit spent, derived from the records.
+
+        One cost_and_grad at the start and after each accepted step, plus one
+        cost per trial step: backtracks + 1 on each accepted record, and on
+        the last record of a failed line search.
+        """
+        accepted = [rec for rec in self.records if rec.step > 0]
+        trials = sum(rec.backtracks + 1 for rec in accepted)
+        if self.line_search_failed:
+            trials += self.records[-1].backtracks + 1
+        return 1 + len(accepted) + trials
 
     @property
     def final_cost(self) -> float:
@@ -147,6 +168,7 @@ def minimize(
 
     trace = OptimTrace()
     h: np.ndarray | None = None
+    last_decrease = 0.0  # alpha * slope of the last accepted step; 0: none yet
     it = 0
     while True:
         if rnorm <= opts.grad_norm_tol:
@@ -169,6 +191,8 @@ def minimize(
         # one SVD of h serves every trial step and both transports
         svd = np.linalg.svd(h, full_matrices=False)
         alpha = INITIAL_STEP
+        if last_decrease < 0.0:
+            alpha = min(INITIAL_STEP, 2.0 * last_decrease / slope)
         backtracks = 0
         accepted = False
         while True:
@@ -188,6 +212,7 @@ def minimize(
             break
 
         trace.records.append(TraceRecord(it, c, rnorm, alpha, backtracks, skipped))
+        last_decrease = alpha * slope
 
         c_new, eg_new, skipped_new = cost_and_grad(w_try, p)
         rg_old_moved = parallel_transport(rg, w, h, alpha, svd, w_try)

@@ -48,7 +48,7 @@ GRAD_TOL = 1e-5
 SVD_GAP_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledDataset:
     """Subspace samples with class labels and source ids.
 
@@ -200,15 +200,23 @@ def _measure_blocks(kind: MeasureKind, left, right, upper: bool = False):
         yield a, b, pair_measures(kind, prods).T
 
 
+def _bases(samples) -> np.ndarray:
+    """The (N, D, n) stack of samples; a LabeledDataset's is already validated."""
+    if isinstance(samples, LabeledDataset):
+        return samples.bases
+    return stack_bases(samples)
+
+
 def pairwise_dissimilarity(samples, kind: MeasureKind) -> np.ndarray:
     """Symmetric zero-diagonal dissimilarity matrix under one measure.
 
     Similarity-like measures are flipped (1 - value) so that smaller always
     means closer; only the ordering matters for neighbor selection. Each
     pair is evaluated once and mirrored, so the matrix is exactly symmetric.
-    ``samples`` are GrassmannPoints or an (N, D, n) array, as for stack_bases.
+    ``samples`` are GrassmannPoints or an (N, D, n) array, as for stack_bases,
+    or a LabeledDataset, whose bases are not checked again.
     """
-    bases = stack_bases(samples)
+    bases = _bases(samples)
     out = np.zeros((len(bases), len(bases)))
     if not len(bases):
         return out
@@ -222,7 +230,7 @@ def pairwise_dissimilarity(samples, kind: MeasureKind) -> np.ndarray:
 
 def _nn_predict(train: LabeledDataset, test_samples, kind: MeasureKind):
     """Labels, training indices, and measure values of each nearest neighbor."""
-    test, bases = stack_bases(test_samples), train.bases
+    test, bases = _bases(test_samples), train.bases
     if not len(test):
         return [], [], []
     if test.shape[1:] != bases.shape[1:]:
@@ -242,7 +250,8 @@ def _nn_predict(train: LabeledDataset, test_samples, kind: MeasureKind):
 def nn_classify(train: LabeledDataset, test_samples, kind: MeasureKind) -> list:
     """Nearest-neighbor labels under one measure; ties go to the lowest index.
 
-    ``test_samples`` are GrassmannPoints or an (M, D, n) array.
+    ``test_samples`` are GrassmannPoints or an (M, D, n) array, or a
+    LabeledDataset, whose bases are not checked again.
     """
     return _nn_predict(train, test_samples, kind)[0]
 
@@ -267,7 +276,7 @@ def evaluate(
     if w is not None:
         train = _reduce_dataset(train, w)
         test = _reduce_dataset(test, w)
-    preds = nn_classify(train, test.bases, kind)
+    preds = nn_classify(train, test, kind)
     hits = sum(1 for p, t in zip(preds, test.labels) if p == t)
     return hits / test.size
 
@@ -356,7 +365,7 @@ def fit(
     """Build the neighbor graph on the original manifold and train the map."""
     if kw is None:
         kw = default_kw(train.labels)
-    dist = pairwise_dissimilarity(train.bases, kind)
+    dist = pairwise_dissimilarity(train, kind)
     graph = build_affinity(train.labels, dist, kw=kw, kb=kb)
     problem = Problem(
         train.bases,

@@ -66,6 +66,23 @@ class TestTrain:
         header = [l for l in t1.read_text().splitlines() if not l.startswith("#")][0]
         assert header == "iter,cost,grad_norm,step,backtracks,skipped_pairs"
 
+    def test_prints_objective_evaluations(self, tmp_path, dataset_dir, capsys):
+        trace = tmp_path / "t.csv"
+        assert run([
+            "train", "--data", dataset_dir, "--metric", "bc", "--dim", 4,
+            "--order", 2, "--out", tmp_path / "w.csv", "--trace", trace,
+        ]) == 0
+        fields = dict(tok.split("=", 1) for tok in capsys.readouterr().out.split())
+        assert list(fields) == ["final_cost", "iterations", "reason", "evaluations"]
+        assert fields["reason"] != "line_search_failed"
+        rows = [
+            line.split(",") for line in trace.read_text().splitlines()
+            if not line.startswith(("#", "iter"))
+        ]
+        # the trace header is unchanged; the count follows from its rows
+        accepted = [int(r[4]) + 1 for r in rows if float(r[3]) > 0]
+        assert int(fields["evaluations"]) == 1 + len(accepted) + sum(accepted)
+
     def test_missing_dataset(self, tmp_path):
         code = run([
             "train", "--data", tmp_path / "nope", "--metric", "p",

@@ -213,6 +213,10 @@ class TestRandomPoint:
         with pytest.raises(InvalidShape):
             random_point(3, 3, 0)
 
+    def test_negative_seed(self):
+        with pytest.raises(InvalidShape, match="seed must be nonnegative"):
+            random_point(5, 2, -1)
+
 
 class TestGeodesic:
     def test_zero_time(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ggdr import optimizer
 from ggdr.affinity import AffinityGraph, build_affinity, default_kw
 from ggdr.errors import InvalidShape
 from ggdr.manifold import MappingMatrix, TangentVector, random_point
@@ -13,7 +14,13 @@ from ggdr.optimizer import (
     TraceRecord,
     minimize,
 )
-from ggdr.pipeline import SynthParams, pairwise_dissimilarity, synth_dataset
+from ggdr.pipeline import (
+    SynthParams,
+    demo_analog_params,
+    fit,
+    pairwise_dissimilarity,
+    synth_dataset,
+)
 
 KIND = MeasureKind.PROJECTION_SQ
 
@@ -169,6 +176,87 @@ class TestMinimize:
         assert all(b <= a for a, b in zip(costs, costs[1:]))
 
 
+class TestLineSearch:
+    def test_first_trials_follow_the_last_accepted_step(self, monkeypatch):
+        # each search's first trial is min(1, 2 alpha_prev slope_prev / slope),
+        # slope = <rgrad, h>; only the fit's first search starts at 1
+        events = []
+        step = optimizer.geodesic_step
+
+        def recording(w, h, t, svd=None):
+            events.append(("trial", h.copy(), t))
+            return step(w, h, t, svd)
+
+        monkeypatch.setattr(optimizer, "geodesic_step", recording)
+        p = two_class_problem(sigma=0.2, seed=5)
+        opts = OptimOptions(max_iter=30, rel_cost_tol=0.0, grad_norm_tol=0.0)
+        _, trace = minimize(
+            p, opts=opts, callback=lambda it, w, rg: events.append(("report", rg.h))
+        )
+        firsts, slopes, rg = [], [], None
+        for kind, *rest in events:
+            if kind == "report":
+                rg, fresh = rest[0], True
+            elif fresh:
+                h, t = rest
+                firsts.append(t)
+                slopes.append(float(np.sum(rg * h)))
+                fresh = False
+        steps = [rec.step for rec in trace.records if rec.step > 0]
+        assert trace.iterations == 30 and len(firsts) == 30
+        assert firsts[0] == 1.0
+        for k in range(1, len(firsts)):
+            expected = min(1.0, 2.0 * steps[k - 1] * slopes[k - 1] / slopes[k])
+            assert firsts[k] == pytest.approx(expected, rel=1e-12, abs=0)
+        assert min(firsts[1:]) < 0.5  # the rule, not the fixed start, set them
+
+    def test_objective_evals_counts_every_evaluation(self, monkeypatch):
+        calls = []
+        cost, cost_and_grad = optimizer.cost, optimizer.cost_and_grad
+
+        def counted(fn, fail_after=None):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                if fail_after is not None and len(calls) > fail_after:
+                    return np.inf  # every later trial step is rejected
+                return fn(*args)
+
+            return wrapper
+
+        p = two_class_problem(sigma=0.2, seed=5)
+        monkeypatch.setattr(optimizer, "cost_and_grad", counted(cost_and_grad))
+        monkeypatch.setattr(optimizer, "cost", counted(cost))
+        _, trace = minimize(p)
+        assert trace.converged and trace.iterations > 1
+        assert trace.objective_evals == len(calls)
+
+        # a line search that fails after some accepted steps
+        calls.clear()
+        monkeypatch.setattr(optimizer, "cost", counted(cost, fail_after=20))
+        _, trace = minimize(p)
+        assert trace.line_search_failed and trace.iterations > 1
+        assert trace.records[-1].backtracks == optimizer.MAX_BACKTRACKS
+        assert trace.objective_evals == len(calls)
+
+    # Ceilings: the total objective evaluations per measure of the fits below
+    # when every Armijo search started at step 1.0, measured on the code
+    # before later searches started from the last accepted step
+    FIXED_START_EVALS = {"p": 2742, "fs": 1587, "bc": 2374, "pk": 2482, "bck": 1115}
+
+    def test_converged_demo_fits_spend_fewer_evaluations(self):
+        # demo data (noise 0.3), 5 of each class's 10 samples for training,
+        # d = 12, default options: every fit runs to its own stopping rule
+        totals = dict.fromkeys(self.FIXED_START_EVALS, 0)
+        for seed in (0, 1, 2, 3):
+            full = synth_dataset(demo_analog_params(within_noise=0.3, seed=seed))
+            train = full.subset([i for i in range(full.size) if i % 10 < 5])
+            for kind in MeasureKind:
+                _, trace, _ = fit(train, kind, target_dim=12)
+                totals[kind.value] += trace.objective_evals
+        for measure, ceiling in self.FIXED_START_EVALS.items():
+            assert totals[measure] < ceiling, (measure, totals[measure])
+
+
 class TestTrace:
     def test_csv_roundtrip(self, tmp_path):
         trace = OptimTrace(
@@ -187,3 +275,7 @@ class TestTrace:
         assert lines[2] == "iter,cost,grad_norm,step,backtracks,skipped_pairs"
         assert lines[3].startswith("0,3.5,1.25,0.5,2,0")
         assert trace.iterations == 1 and trace.final_cost == 2.0
+        # one evaluation at the start, 3 trials, one after the accepted step
+        assert trace.objective_evals == 5
+        trace.line_search_failed = True
+        assert trace.objective_evals == 6

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ggdr import manifold
+from ggdr.affinity import AffinityGraph
 from ggdr.dataio import load_dataset, save_dataset
 from ggdr.errors import (
     DegenerateClass,
@@ -16,11 +17,13 @@ from ggdr.errors import (
 from ggdr.manifold import (
     GrassmannPoint,
     MappingMatrix,
+    TangentVector,
     geodesic_distance,
     orthonormalize,
     random_point,
 )
-from ggdr.metrics import MeasureKind, measure
+from ggdr.metrics import MeasureKind, PairGradient, measure
+from ggdr.objective import Problem
 from ggdr import pipeline
 from ggdr.optimizer import OptimOptions
 from ggdr.pipeline import (
@@ -87,6 +90,60 @@ class TestLabeledDataset:
         w, _, _ = fit(train, MeasureKind.PROJECTION_SQ, 4, opts=OptimOptions(max_iter=3))
         evaluate(train, test, MeasureKind.PROJECTION_SQ, w)
         assert built == []
+
+    def test_fit_and_evaluate_check_each_stack_once(self, monkeypatch):
+        # a LabeledDataset is checked where it is built; fit and evaluate do
+        # not check its bases again. Left per fit: Problem and the result
+        # map; per evaluate: the two reduced datasets (3 each before)
+        calls = []
+        gram_error = manifold.gram_error
+        monkeypatch.setattr(
+            manifold, "gram_error", lambda b: (calls.append(1), gram_error(b))[1]
+        )
+        ds = tiny_dataset(seed=15)
+        train, test = ds.subset(range(0, 12, 2)), ds.subset(range(1, 12, 2))
+        calls.clear()
+        w, _, _ = fit(train, MeasureKind.PROJECTION_SQ, 4, opts=OptimOptions(max_iter=3))
+        assert len(calls) == 2
+        calls.clear()
+        evaluate(train, test, MeasureKind.PROJECTION_SQ, w)
+        assert len(calls) == 2
+        calls.clear()
+        evaluate(train, test, MeasureKind.PROJECTION_SQ)
+        assert calls == []
+
+    def test_dataset_and_its_bases_give_identical_results(self):
+        ds = tiny_dataset(seed=4)
+        for kind in ALL_KINDS:
+            assert (
+                pairwise_dissimilarity(ds, kind) == pairwise_dissimilarity(ds.bases, kind)
+            ).all()
+            assert nn_classify(ds, ds, kind) == nn_classify(ds, ds.bases, kind)
+
+    def test_equality_is_identity_and_hashable(self):
+        # the array fields make field-wise equality ambiguous, so every frozen
+        # type with one compares and hashes by identity
+        params = SynthParams(2, 3, 8, 2, 0.2, 4)
+        a, b = synth_dataset(params), synth_dataset(params)
+        assert (a.bases == b.bases).all()
+        assert a == a and a != b and len({a, b, a}) == 2
+        graph = AffinityGraph(np.array([[0, 1], [1, 0]]), kw=1, kb=1)
+        w = np.eye(8, 4)
+        base = MappingMatrix(w)
+        pairs = [
+            (GrassmannPoint(a.bases[0]), GrassmannPoint(a.bases[0])),
+            (MappingMatrix(w), MappingMatrix(w)),
+            (graph, AffinityGraph(graph.g, kw=1, kb=1)),
+            (
+                Problem(a.bases[:2], graph, MeasureKind.PROJECTION_SQ, 4),
+                Problem(a.bases[:2], graph, MeasureKind.PROJECTION_SQ, 4),
+            ),
+            (PairGradient(w, w), PairGradient(w, w)),
+            (TangentVector(0 * w, base), TangentVector(0 * w, base)),
+        ]
+        for x, y in pairs:
+            assert x == x and x != y, type(x)
+            assert len({x, y}) == 2
 
 
 class TestBuildSubspace:
