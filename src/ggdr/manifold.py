@@ -166,29 +166,47 @@ def orthonormalize(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     factorization unique, hence reproducible across calls. A stack
     (..., m, k) is factored matrix by matrix.
 
-    Raises RankDeficient when the smallest singular value of m (of any matrix
-    in a stack) falls below RANK_RTOL times the largest.
+    Raises RankDeficient for a non-finite entry, and when the Frobenius
+    condition estimate ||R||_F ||R^-1||_F of m's triangular factor (of any
+    matrix in a stack) reaches 1 / RANK_RTOL. The estimate lies between the
+    2-norm condition number and k times it, so every matrix with
+    sigma_min <= RANK_RTOL sigma_max is rejected, and so is one within a
+    factor k of that threshold.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim < 2 or not 1 <= m.shape[-1] <= m.shape[-2]:
         raise InvalidShape(
             f"need a tall (or square) matrix with at least one column, got {m.shape}"
         )
-    q, r = np.linalg.qr(m)
-    # singular values of r equal those of m; r is small (k x k)
-    sv = np.linalg.svd(r, compute_uv=False)
-    bad = (sv[..., 0] == 0.0) | (sv[..., -1] <= RANK_RTOL * sv[..., 0])
-    if np.any(bad):
-        first = int(np.argmax(bad.ravel()))
-        top, low = sv.reshape(-1, sv.shape[-1])[first, [0, -1]]
+    if not np.isfinite(m).all():
+        finite = np.isfinite(m).all(axis=(-2, -1)).ravel()
         raise RankDeficient(
-            ("" if m.ndim == 2 else f"matrix {first} of the stack: ")
-            + f"numerically rank-deficient: sigma_min/sigma_max = "
-            f"{0.0 if top == 0.0 else low / top:.3e}"
+            _stack_prefix(m, int(np.argmin(finite)))
+            + "non-finite entries (nan or inf)"
         )
-    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    signs[signs == 0] = 1.0
+    q, r = np.linalg.qr(m)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    # the estimate of R / max|r_ii| is that of R, and its norms cannot
+    # overflow; an all-zero diagonal stays unscaled. cond is inf where inv
+    # meets a zero pivot, so a singular R fails the test without an error.
+    top = np.abs(diag).max(axis=-1, keepdims=True)
+    top[top == 0.0] = 1.0
+    estimate = np.linalg.cond(r / top[..., None], "fro")
+    bad = ~(estimate < 1.0 / RANK_RTOL)
+    if bad.any():
+        first = int(np.argmax(bad.ravel()))
+        raise RankDeficient(
+            _stack_prefix(m, first)
+            + "numerically rank-deficient: Frobenius condition estimate "
+            f"||R||_F ||R^-1||_F = {estimate.ravel()[first]:.3e}, "
+            f"limit {1.0 / RANK_RTOL:.0e}"
+        )
+    signs = np.sign(diag)
     return q * signs[..., None, :], signs[..., :, None] * r
+
+
+def _stack_prefix(m: np.ndarray, index: int) -> str:
+    return "" if m.ndim == 2 else f"matrix {index} of the stack: "
 
 
 def _clamped_cosines(product: np.ndarray) -> np.ndarray:

@@ -8,10 +8,11 @@ so that within-class similarity is maximized rather than minimized.
 
 Every evaluation works on stacked arrays: one batched W^T X, one batched QR
 of the samples that touch a pair, and the pair products Q_i^T Q_j as
-(P, n, n) stacks in chunks of bounded memory. The Euclidean gradient
-scatter-adds each pair's gradient onto its two samples, pulls the sums back
-through the QR in one batch (by linearity, once per sample, not once per
-pair) and sums X_i dY_i^T over the samples.
+(P, n, n) stacks in chunks of bounded memory. The Euclidean gradient sums
+each chunk's pair gradients per sample as segment sums (``np.add.reduceat``
+over segments fixed when the Problem is built), pulls the per-sample sums
+back through the QR in one batch (by linearity, once per sample, not once
+per pair) and contracts X_i dY_i^T over blocks of samples.
 """
 
 from __future__ import annotations
@@ -59,6 +60,9 @@ class Problem:
     _pair_i: np.ndarray = field(init=False, repr=False)
     _pair_j: np.ndarray = field(init=False, repr=False)
     _weights: np.ndarray = field(init=False, repr=False)
+    # the pair chunks, sized by PAIR_BLOCK_BYTES when the Problem is built,
+    # each with the i- and j-side segments of the gradient scatter (_segments)
+    _chunks: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         points = stack_bases(self.points)
@@ -81,6 +85,14 @@ class Problem:
         object.__setattr__(self, "_pair_i", ends[: len(rows)])
         object.__setattr__(self, "_pair_j", ends[len(rows) :])
         object.__setattr__(self, "_weights", gm[rows, cols].astype(np.float64))
+        step = max(1, PAIR_BLOCK_BYTES // (8 * self.target_dim * order))
+        chunks = []
+        for start in range(0, len(rows), step):
+            c = slice(start, start + step)
+            chunks.append(
+                (c, _segments(self._pair_i[c]), _segments(self._pair_j[c]))
+            )
+        object.__setattr__(self, "_chunks", tuple(chunks))
 
     @property
     def ambient_dim(self) -> int:
@@ -99,6 +111,27 @@ class Problem:
         ):
             return -1.0
         return 1.0
+
+
+def _segments(ends: np.ndarray):
+    """How to sum per-pair terms per sample: (order, starts, samples).
+
+    ends[order] is sorted, its runs of one sample begin at starts, and
+    samples[s] is the sample of run s; order is None when ends is already
+    sorted, as on the i side of a chunk (pairs are in row-major order).
+    """
+    order = None
+    if not (ends[1:] >= ends[:-1]).all():
+        order = np.argsort(ends, kind="stable")
+    ordered = ends if order is None else ends[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    return order, starts, ordered[starts]
+
+
+def _scatter_add(dq: np.ndarray, terms: np.ndarray, segments) -> None:
+    """dq[ends[k]] += terms[k] for every pair k, as one sum per segment."""
+    order, starts, samples = segments
+    dq[samples] += np.add.reduceat(terms if order is None else terms[order], starts)
 
 
 def reduce_point(w: MappingMatrix, x: GrassmannPoint) -> GrassmannPoint:
@@ -126,12 +159,6 @@ def _reduce_active(wm: np.ndarray, p: Problem):
     return (y, *orthonormalize(y))
 
 
-def _pair_chunks(p: Problem):
-    step = max(1, PAIR_BLOCK_BYTES // (8 * p.target_dim * p.order))
-    for start in range(0, len(p._weights), step):
-        yield slice(start, start + step)
-
-
 def cost(w, p: Problem) -> float:
     """Evaluate the affinity-weighted objective at w.
 
@@ -143,7 +170,7 @@ def cost(w, p: Problem) -> float:
         return 0.0
     _, q, _ = _reduce_active(wm, p)
     total = 0.0
-    for c in _pair_chunks(p):
+    for c, _, _ in p._chunks:
         a = q[p._pair_i[c]].mT @ q[p._pair_j[c]]
         total += float(p._weights[c] @ pair_measures(p.kind, a))
     return p.pair_sign * total
@@ -171,15 +198,15 @@ def cost_and_grad(w, p: Problem) -> tuple[float, np.ndarray, int]:
     dq = np.zeros_like(q)
     total = 0.0
     skipped = 0
-    for c in _pair_chunks(p):
-        i, j, weights = p._pair_i[c], p._pair_j[c], p._weights[c]
-        qi, qj = q[i], q[j]
+    for c, i_side, j_side in p._chunks:
+        weights = p._weights[c]
+        qi, qj = q[p._pair_i[c]], q[p._pair_j[c]]
         values, da, ok = pair_measure_grads(p.kind, qi.mT @ qj)
         total += float(weights @ values)
         skipped += len(ok) - int(np.count_nonzero(ok))
         da *= weights[:, None, None]
-        np.add.at(dq, i, qj @ da.mT)
-        np.add.at(dq, j, qi @ da)
+        _scatter_add(dq, qj @ da.mT, i_side)
+        _scatter_add(dq, qi @ da, j_side)
 
     if skipped > MAX_SKIP_FRACTION * len(p._weights):
         raise SingularPair(
@@ -188,7 +215,15 @@ def cost_and_grad(w, p: Problem) -> tuple[float, np.ndarray, int]:
         )
 
     dy = qr_pullback(y, q, r, p.pair_sign * dq)
-    # sum X_i dY_i^T sample by sample: no reshaped copy of the D x n bases
-    for k, i in enumerate(p._active):
-        grad += p.points[i] @ dy[k].T
+    # sum X_i dY_i^T in blocks of samples: tensordot copies each block of
+    # D x n bases, so one contraction over the whole stack would copy it
+    # whole. A block may copy as much as the D x d gradient holds: fewer
+    # samples make a product too thin to beat one matmul per sample.
+    block_bytes = max(PAIR_BLOCK_BYTES, grad.nbytes)
+    step = max(1, block_bytes // (8 * p.ambient_dim * p.order))
+    for start in range(0, len(p._active), step):
+        block = slice(start, start + step)
+        grad += np.tensordot(
+            p.points[p._active[block]], dy[block], axes=([0, 2], [0, 2])
+        )
     return p.pair_sign * total, grad, skipped

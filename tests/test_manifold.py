@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 
 from ggdr.errors import DimensionMismatch, InvalidShape, RankDeficient
 from ggdr.manifold import (
+    RANK_RTOL,
     GrassmannPoint,
     MappingMatrix,
     TangentVector,
@@ -18,6 +19,13 @@ from ggdr.manifold import (
     stack_bases,
 )
 from oracles import integrate_geodesic, random_orthogonal
+
+
+def with_condition(cond, d_ambient, k, seed):
+    """A d_ambient x k matrix with singular values spread from 1 to 1/cond."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((d_ambient, k)))
+    return (u * np.geomspace(1.0, 1.0 / cond, k)) @ random_orthogonal(k, rng)
 
 
 def rand_map(d_ambient, d_target, seed):
@@ -82,6 +90,58 @@ class TestOrthonormalize:
         assert (np.diag(r) > 0).all()
 
 
+    def test_condition_2e12_rejected(self):
+        with pytest.raises(RankDeficient, match="Frobenius condition estimate"):
+            orthonormalize(with_condition(2e12, 9, 4, 1))
+
+    def test_condition_1e10_accepted(self):
+        m = with_condition(1e10, 9, 4, 2)
+        q, r = orthonormalize(m)
+        assert np.linalg.norm(q @ r - m) < 1e-12
+
+    def test_zero_column_is_rank_deficient_not_linalg_error(self, rng):
+        m = rng.standard_normal((6, 3))
+        m[:, 1] = 0.0
+        with pytest.raises(RankDeficient, match="numerically rank-deficient"):
+            orthonormalize(m)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_rank_test_is_scale_free(self, scale):
+        q, r = orthonormalize(scale * with_condition(1e3, 8, 3, 3))
+        assert (np.diag(r) > 0).all()
+        assert np.linalg.norm(q.T @ q - np.eye(3)) < 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad, rng):
+        m = rng.standard_normal((5, 2))
+        m[3, 1] = bad
+        with pytest.raises(RankDeficient, match="^non-finite"):
+            orthonormalize(m)
+
+    @given(
+        log_cond=st.one_of(
+            st.floats(min_value=0.0, max_value=10.5),
+            st.floats(min_value=12.2, max_value=17.0),
+        ),
+        k=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rejects_whatever_the_singular_value_test_rejects(
+        self, log_cond, k, seed
+    ):
+        # the estimate is within [cond_2, k cond_2]: it rejects every matrix
+        # with sigma_min <= RANK_RTOL sigma_max and, for k <= 6, accepts
+        # every matrix with cond_2 below 1e10.5
+        m = with_condition(10.0**log_cond, 12, k, seed)
+        sv = np.linalg.svd(m, compute_uv=False)
+        if sv[-1] <= RANK_RTOL * sv[0]:
+            with pytest.raises(RankDeficient):
+                orthonormalize(m)
+        else:
+            assert k == 1 or sv[0] / sv[-1] < 1e11
+            orthonormalize(m)
+
 class TestStackedOrthonormalize:
     def test_matches_one_by_one(self, rng):
         m = rng.standard_normal((5, 7, 3))
@@ -95,6 +155,23 @@ class TestStackedOrthonormalize:
         m = rng.standard_normal((4, 6, 2))
         m[2, :, 1] = m[2, :, 0]
         with pytest.raises(RankDeficient, match="matrix 2 of the stack"):
+            orthonormalize(m)
+
+    def test_first_bad_matrix_named(self, rng):
+        m = rng.standard_normal((5, 6, 3))
+        m[1] = with_condition(2e12, 6, 3, 4)
+        m[3, :, 2] = 0.0
+        with pytest.raises(RankDeficient, match="^matrix 1 of the stack: numer"):
+            orthonormalize(m)
+        m[1] = rng.standard_normal((6, 3))
+        with pytest.raises(RankDeficient, match="^matrix 3 of the stack: numer"):
+            orthonormalize(m)
+
+    def test_non_finite_names_the_matrix(self, rng):
+        m = rng.standard_normal((2, 3, 4, 2))
+        m[1, 2, 0, 0] = np.nan
+        m[1, 0, 1, 1] = np.inf
+        with pytest.raises(RankDeficient, match="^matrix 3 of the stack: non-finite"):
             orthonormalize(m)
 
 

@@ -362,6 +362,43 @@ class TestBatchedMatchesPerPairReference:
         assert_matches_reference(rand_w(d_ambient, d_target, 2), p)
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_segments_span_chunks(self, kind, monkeypatch):
+        # chunks of 5 pairs: rows of the i side run across chunk ends, and
+        # inside a chunk the j side falls back (row 0 ends, row 1 begins)
+        d_ambient, d_target, order = 10, 5, 2
+        monkeypatch.setattr(objective, "PAIR_BLOCK_BYTES", 8 * d_target * order * 5)
+        pts = tuple(random_point(d_ambient, order, 90 + s) for s in range(9))
+        edges = [(i, j) for i in range(9) for j in range(i + 1, 9) if (i * j) % 4 != 1]
+        p = Problem(pts, signed_graph(9, edges, 6), kind, target_dim=d_target)
+        i_runs = [p._pair_i[c][[0, -1]] for c, _, _ in p._chunks]
+        assert any(a[-1] == b[0] for a, b in zip(i_runs, i_runs[1:]))
+        assert any(j_side[0] is not None for _, _, j_side in p._chunks)
+        assert all(i_side[0] is None for _, i_side, _ in p._chunks)
+        assert_matches_reference(rand_w(d_ambient, d_target, 7), p)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_gather_in_blocks(self, kind, monkeypatch):
+        # blocks of 3 samples: the 10 active samples contract in 4 blocks
+        d_ambient, d_target, order = 12, 6, 3
+        monkeypatch.setattr(objective, "PAIR_BLOCK_BYTES", 8 * d_ambient * order * 3)
+        pts = tuple(random_point(d_ambient, order, 100 + s) for s in range(11))
+        edges = [
+            (i, j) for i in range(1, 11) for j in range(i + 1, 11) if (i + j) % 4
+        ]
+        p = Problem(pts, signed_graph(11, edges, 8), kind, target_dim=d_target)
+        assert len(p._active) == 10
+        assert_matches_reference(rand_w(d_ambient, d_target, 9), p)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_reruns_bit_identical(self, kind, monkeypatch):
+        monkeypatch.setattr(objective, "PAIR_BLOCK_BYTES", 8 * 12 * 3 * 4)
+        p = rand_problem(kind, 14, 12, 6, 3, seed=11)
+        w = rand_w(12, 6, 12)
+        c1, g1, s1 = cost_and_grad(w, p)
+        c2, g2, s2 = cost_and_grad(w, p)
+        assert (c1, s1) == (c2, s2) and g1.tobytes() == g2.tobytes()
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_zero_graph(self, kind):
         pts = tuple(random_point(8, 2, s) for s in range(4))
         p = Problem(pts, zero_graph(4), kind, target_dim=4)
