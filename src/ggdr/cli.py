@@ -13,7 +13,13 @@ import sys
 
 import numpy as np
 
-from .dataio import load_dataset, load_mapping, save_dataset, save_mapping
+from .dataio import (
+    load_dataset,
+    load_mapping,
+    save_dataset,
+    save_mapping,
+    text_lines,
+)
 from .errors import (
     DataFormatError,
     GgdrError,
@@ -47,17 +53,14 @@ METRIC_CODES = {k.value: k for k in MeasureKind}
 def _parse_config(path) -> dict:
     values = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: expected 'key = value'"
-                    )
-                key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
+        for lineno, line in text_lines(path):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise DataFormatError(f"{path}:{lineno}: expected 'key = value'")
+            key, _, value = line.partition("=")
+            values[key.strip()] = value.strip()
     except OSError as exc:
         raise DataFormatError(f"cannot read config {path}: {exc}") from exc
     return values
@@ -332,11 +335,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        args._config = _parse_config(args.config)
-    else:
-        args._config = {}
     try:
+        config = getattr(args, "config", None)
+        args._config = _parse_config(config) if config else {}
         return args.func(args)
     except (DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ code path with the package internals they check.
 
 import numpy as np
 
+from ggdr.errors import DataFormatError
 from ggdr.metrics import MeasureKind
 
 
@@ -71,3 +72,41 @@ def integrate_geodesic(w0: np.ndarray, h: np.ndarray, t: float, dt: float = 1e-4
 def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
     return q * np.sign(np.diag(r))
+
+
+def read_matrix_csv_lines(path) -> np.ndarray:
+    """The matrix CSV reader as one float() per field, line by line.
+
+    The reference for ``read_matrix_csv``: the same accepted inputs, the
+    same matrix, the same ``path:lineno`` messages. Non-UTF-8 bytes raise
+    UnicodeDecodeError here, where the package raises DataFormatError.
+    """
+    rows = []
+    width = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if width is None:
+                width = len(fields)
+            elif len(fields) != width:
+                raise DataFormatError(
+                    f"{path}:{lineno}: expected {width} columns, got {len(fields)}"
+                )
+            try:
+                rows.append([float(v) for v in fields])
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+    if not rows:
+        raise DataFormatError(f"{path}: empty matrix file")
+    matrix = np.array(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(matrix))
+    if len(bad):
+        row, col = bad[0]
+        raise DataFormatError(
+            f"{path}: non-finite value {matrix[row, col]!r} in row {row + 1}, "
+            f"column {col + 1}"
+        )
+    return matrix

@@ -133,6 +133,19 @@ class TestTrain:
         ]) == 0
         assert "# max-iter=2" in (tmp_path / "t.csv").read_text()
 
+    @pytest.mark.parametrize("text", ["max-iter 3\n", None])
+    def test_malformed_or_missing_config_exits_1(
+        self, tmp_path, dataset_dir, capsys, text
+    ):
+        cfg = tmp_path / "run.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        assert run([
+            "train", "--data", dataset_dir, "--metric", "p", "--dim", 4,
+            "--out", tmp_path / "w.csv", "--config", cfg,
+        ]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("period", [0, -1])
     def test_restart_below_one(self, tmp_path, dataset_dir, capsys, period):
         code = run([
@@ -252,6 +265,40 @@ class TestEval:
             "--metric", "p", "--model", w,
         ])
         assert code == 2
+
+
+class TestNonUtf8Input:
+    """Bytes that are not UTF-8 exit 1 with one error line, in every file kind."""
+
+    def _assert_clean_exit(self, args, capsys, name):
+        assert run(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert f"{name}: not UTF-8" in err[0]
+
+    def test_matrix_csv(self, tmp_path, dataset_dir, capsys):
+        victim = dataset_dir / "sample_0002.csv"
+        victim.write_bytes(victim.read_bytes().replace(b",", b"\xff,", 1))
+        self._assert_clean_exit([
+            "eval", "--train", dataset_dir, "--test", dataset_dir, "--metric", "p",
+        ], capsys, "sample_0002.csv")
+
+    def test_manifest(self, tmp_path, dataset_dir, capsys):
+        manifest = dataset_dir / "manifest.tsv"
+        manifest.write_bytes(b"# \xc3\x28\n" + manifest.read_bytes())
+        self._assert_clean_exit([
+            "train", "--data", dataset_dir, "--metric", "p", "--dim", 4,
+            "--out", tmp_path / "w.csv",
+        ], capsys, "manifest.tsv")
+        assert not (tmp_path / "w.csv").exists()
+
+    def test_config(self, tmp_path, dataset_dir, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"max-iter = 3\n# caf\xe9\n")
+        self._assert_clean_exit([
+            "train", "--data", dataset_dir, "--metric", "p", "--dim", 4,
+            "--out", tmp_path / "w.csv", "--config", cfg,
+        ], capsys, "run.cfg")
 
 
 class TestGradcheck:

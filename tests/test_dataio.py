@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracles import read_matrix_csv_lines
 from ggdr.dataio import (
     load_dataset,
     load_mapping,
@@ -9,9 +13,160 @@ from ggdr.dataio import (
     save_mapping,
     write_matrix_csv,
 )
-from ggdr.errors import DataFormatError, NumericalHealthWarning
+from ggdr.errors import DataFormatError, DimensionMismatch, NumericalHealthWarning
 from ggdr.manifold import MappingMatrix, orthonormalize, random_point
-from ggdr.pipeline import SynthParams, synth_dataset
+from ggdr.pipeline import SynthParams, build_subspace, synth_dataset
+
+# one example per call reuses the test's tmp_path; each overwrites its file
+REUSE_TMP = settings(
+    deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+EXTREMES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    2.225073858507201e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+    0.1, 1 / 3, 9007199254740993.0, 1.0000000000000002,
+]
+FIELDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(EXTREMES).map(repr),
+    st.sampled_from([
+        "nan", "-nan", "inf", "-Infinity", "1e400", "-1e400", "1_0", "1e",
+        "junk", "", "0x10", ".5", "5.", "+1", "1E-5",
+    ]),
+)
+LINE_END = st.sampled_from(["\n", "\r\n", "\r"])
+NUMBER_ALPHABET = "0123456789.,-+eE _naifINF\t\r\n\x0c\x00\x1c\xa0"
+
+
+@st.composite
+def csv_like_text(draw):
+    """Rows of one width, with blank and whitespace-only lines, spaces
+    around fields, ragged rows, trailing commas and junk mixed in."""
+    width = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "space", "ragged"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(draw(st.text(" \t\x0b\x0c", min_size=1, max_size=3)))
+        else:
+            n = width if kind == "row" else draw(st.integers(1, 5))
+            fields = [
+                draw(st.sampled_from(["", " ", "  "])) + draw(FIELDS)
+                + draw(st.sampled_from(["", " ", "\t"]))
+                for _ in range(n)
+            ]
+            lines.append(",".join(fields) + draw(st.sampled_from(["", "", ","])))
+    ends = [draw(LINE_END) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text[: -len(ends[-1])]  # no newline at the end of the file
+    return text
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except (DataFormatError, UnicodeDecodeError) as exc:
+        return exc
+
+
+def _assert_same_as_oracle(path):
+    expected = _outcome(read_matrix_csv_lines, path)
+    got = _outcome(read_matrix_csv, path)
+    if isinstance(expected, np.ndarray):
+        assert isinstance(got, np.ndarray), got
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        assert (got.view(np.uint64) == expected.view(np.uint64)).all()
+    elif isinstance(expected, UnicodeDecodeError):
+        assert isinstance(got, DataFormatError) and "not UTF-8" in str(got)
+    else:
+        assert isinstance(got, DataFormatError), got
+        assert str(got) == str(expected)
+
+
+class TestReaderMatchesLineOracle:
+    @given(text=csv_like_text())
+    @REUSE_TMP
+    def test_csv_like_text(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        _assert_same_as_oracle(path)
+
+    # NUL, 0x1c and NBSP: whitespace to one parser or the other, or neither
+    @given(text=st.text(st.sampled_from(NUMBER_ALPHABET)))
+    @settings(REUSE_TMP, max_examples=300)
+    def test_number_alphabet(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        _assert_same_as_oracle(path)
+
+    @given(data=st.binary(max_size=64))
+    @REUSE_TMP
+    def test_arbitrary_bytes_raise_only_data_format_errors(self, tmp_path, data):
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        _assert_same_as_oracle(path)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("1,2\n   \n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+            ("1_0,2\n", [[10.0, 2.0]]),
+            ("\t\n5\n", [[5.0]]),
+            ("1,2\x1c\n", [[1.0, 2.0]]),
+        ],
+    )
+    def test_inputs_only_float_accepts(self, tmp_path, text, expected):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        assert read_matrix_csv(path).tolist() == expected
+
+
+class TestMatrixCsvRoundTrip:
+    @given(
+        bits=st.lists(
+            st.one_of(
+                st.integers(0, 2**64 - 1),
+                st.sampled_from(EXTREMES).map(
+                    lambda v: int(np.float64(v).view(np.uint64))
+                ),
+            ),
+            min_size=1,
+            max_size=24,
+        ),
+        width=st.integers(1, 4),
+    )
+    @REUSE_TMP
+    def test_write_then_read_is_bit_equal(self, tmp_path, bits, width):
+        rows = -(-len(bits) // width)
+        bits = (bits * width)[: rows * width]  # fill the last row
+        matrix = np.array(bits, dtype=np.uint64).view(np.float64).reshape(rows, width)
+        matrix[~np.isfinite(matrix)] = 1.5  # non-finite values are rejected
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, matrix)
+        loaded = read_matrix_csv(path)
+        assert (loaded.view(np.uint64) == matrix.view(np.uint64)).all()
+        expected = "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in matrix
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @given(
+        digits=st.lists(st.integers(10**16, 10**17 - 1), min_size=1, max_size=8),
+        exponents=st.lists(st.integers(-340, 290), min_size=8, max_size=8),
+    )
+    @REUSE_TMP
+    def test_17_significant_digits(self, tmp_path, digits, exponents):
+        matrix = np.array(
+            [float(f"{d}e{e}") for d, e in zip(digits, exponents)]
+        )[:, None]
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, matrix)
+        loaded = read_matrix_csv(path)
+        assert (loaded.view(np.uint64) == matrix.view(np.uint64)).all()
 
 
 class TestMatrixCsv:
@@ -42,9 +197,31 @@ class TestMatrixCsv:
             read_matrix_csv(path)
 
     def test_empty_rejected(self, tmp_path):
+        self._assert_empty_without_a_warning(tmp_path, "")
+
+    @pytest.mark.parametrize("text", ["\n\n", " \n\t\n"])
+    def test_blank_lines_only_rejected(self, tmp_path, text):
+        self._assert_empty_without_a_warning(tmp_path, text)
+
+    def _assert_empty_without_a_warning(self, tmp_path, text):
         path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(DataFormatError):
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match="empty matrix file"):
+                read_matrix_csv(path)
+
+    def test_separator_byte_next_to_a_field_rejected(self, tmp_path):
+        # loadtxt would strip the 0x1c as whitespace; float() does not
+        path = tmp_path / "bad.csv"
+        path.write_text("1.0,\x1c2.0\n")
+        with pytest.raises(DataFormatError, match="bad.csv:1: could not convert"):
+            read_matrix_csv(path)
+
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"1.0,2.0\n3.0,\xff\n")
+        with pytest.raises(DataFormatError, match="bad.csv: not UTF-8"):
             read_matrix_csv(path)
 
 
@@ -148,6 +325,83 @@ class TestBasisToleranceLadder:
         basis[:, 0] *= 1.2
         d = self._write(tmp_path, basis)
         with pytest.raises(DataFormatError, match="orthonormal"):
+            load_dataset(d)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and (a.view(np.uint64) == b.view(np.uint64)).all()
+
+
+class TestBatchedLoad:
+    """Per-file checks, then one QR over the basis rows of the stack."""
+
+    def _write(self, tmp_path, matrices, modes=None):
+        d = tmp_path / "ds"
+        d.mkdir()
+        modes = modes or ["basis"] * len(matrices)
+        lines = []
+        for k, (matrix, mode) in enumerate(zip(matrices, modes)):
+            write_matrix_csv(d / f"s{k}.csv", matrix)
+            lines.append(f"id{k}\tc{k % 2}\t{mode}\ts{k}.csv\n")
+        (d / "manifest.tsv").write_text("".join(lines))
+        return d
+
+    def test_beyond_repair_basis_in_the_middle_names_its_file(self, tmp_path):
+        bases = [random_point(8, 2, k).basis.copy() for k in range(5)]
+        bases[2][:, 0] *= 1.2
+        d = self._write(tmp_path, bases)
+        with pytest.raises(DataFormatError, match=r"s2\.csv: basis deviates"):
+            load_dataset(d)
+
+    def test_repairable_file_warns_with_its_path_and_gets_its_own_qr(self, tmp_path):
+        bases = [random_point(8, 2, k).basis.copy() for k in range(4)]
+        bases[1][0, 0] += 1e-4
+        d = self._write(tmp_path, bases)
+        with pytest.warns(NumericalHealthWarning) as caught:
+            ds = load_dataset(d)
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 1 and "s1.csv: basis deviates" in messages[0]
+        expected, _ = orthonormalize(read_matrix_csv(d / "s1.csv"))
+        assert _same_bits(ds.bases[1], expected)
+
+    def test_mixed_raw_and_basis_manifest(self, tmp_path, rng):
+        matrices = [
+            rng.standard_normal((8, 4)),
+            random_point(8, 2, 1).basis,
+            rng.standard_normal((8, 3)),
+            random_point(8, 2, 3).basis,
+        ]
+        modes = ["raw", "basis", "raw", "basis"]
+        d = self._write(tmp_path, matrices, modes)
+        ds = load_dataset(d, order=2)
+        assert ds.bases.shape == (4, 8, 2) and not ds.bases.flags.writeable
+        for k, mode in enumerate(modes):
+            matrix = read_matrix_csv(d / f"s{k}.csv")
+            if mode == "raw":
+                expected = build_subspace(matrix, 2).basis
+            else:
+                expected, _ = orthonormalize(matrix)
+            assert _same_bits(ds.bases[k], expected)
+
+    def test_stack_bit_equal_to_per_file_qr(self, tmp_path):
+        save_dataset(tmp_path / "ds", synth_dataset(SynthParams(3, 4, 9, 3, 0.3, 2)))
+        ds = load_dataset(tmp_path / "ds")
+        for k in range(ds.size):
+            matrix = read_matrix_csv(tmp_path / "ds" / f"sample_{k:04d}.csv")
+            expected, _ = orthonormalize(matrix)
+            assert _same_bits(ds.bases[k], expected)
+
+    def test_shape_mismatch_names_the_sample(self, tmp_path):
+        d = self._write(
+            tmp_path, [random_point(8, 2, 0).basis, random_point(8, 3, 1).basis]
+        )
+        with pytest.raises(DimensionMismatch, match="sample 1 has shape"):
+            load_dataset(d)
+
+    def test_non_utf8_manifest(self, tmp_path):
+        d = self._write(tmp_path, [random_point(8, 2, 0).basis])
+        (d / "manifest.tsv").write_bytes(b"id0\tc\xe9\tbasis\ts0.csv\n")
+        with pytest.raises(DataFormatError, match="manifest.tsv: not UTF-8"):
             load_dataset(d)
 
 
