@@ -31,6 +31,8 @@ ORTHONORMAL_TOL_POINT = 1e-10
 ORTHONORMAL_TOL_MAP = 1e-8
 TANGENT_TOL = 1e-8
 RANK_RTOL = 1e-12
+# the drift from orthonormality that cholesky_qr accepts
+RETRACTION_GRAM_TOL = 1e-6
 
 
 def _frozen_array(a, dtype=np.float64) -> np.ndarray:
@@ -173,6 +175,16 @@ def orthonormalize(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sigma_min <= RANK_RTOL sigma_max is rejected, and so is one within a
     factor k of that threshold.
     """
+    q, r, _ = qr_with_inverse(m)
+    return q, r
+
+
+def qr_with_inverse(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``orthonormalize``, plus the inverse of r that its rank test computes.
+
+    Returns (q, r, r_inv) with r_inv @ r == I to roundoff, for the QR
+    pullback (``metrics.qr_pullback_inverse``), which then solves nothing.
+    """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim < 2 or not 1 <= m.shape[-1] <= m.shape[-2]:
         raise InvalidShape(
@@ -187,11 +199,21 @@ def orthonormalize(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q, r = np.linalg.qr(m)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     # the estimate of R / max|r_ii| is that of R, and its norms cannot
-    # overflow; an all-zero diagonal stays unscaled. cond is inf where inv
-    # meets a zero pivot, so a singular R fails the test without an error.
+    # overflow; an all-zero diagonal stays unscaled
     top = np.abs(diag).max(axis=-1, keepdims=True)
     top[top == 0.0] = 1.0
-    estimate = np.linalg.cond(r / top[..., None], "fro")
+    scaled = r / top[..., None]
+    with np.errstate(over="ignore"):
+        try:
+            inverse = np.linalg.inv(scaled)
+            estimate = np.linalg.norm(scaled, axis=(-2, -1)) * np.linalg.norm(
+                inverse, axis=(-2, -1)
+            )
+        except np.linalg.LinAlgError:
+            # a zero pivot: cond, which inverts without raising, gives every
+            # such R an infinite estimate
+            estimate = np.linalg.cond(scaled, "fro")
+    # an inverse past overflow gives inf or nan, and fails the test too
     bad = ~(estimate < 1.0 / RANK_RTOL)
     if bad.any():
         first = int(np.argmax(bad.ravel()))
@@ -202,7 +224,9 @@ def orthonormalize(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"limit {1.0 / RANK_RTOL:.0e}"
         )
     signs = np.sign(diag)
-    return q * signs[..., None, :], signs[..., :, None] * r
+    # (D R)^-1 = R^-1 D for the diagonal sign matrix D
+    r_inv = inverse * (signs / top)[..., None, :]
+    return q * signs[..., None, :], signs[..., :, None] * r, r_inv
 
 
 def _stack_prefix(m: np.ndarray, index: int) -> str:
@@ -257,20 +281,39 @@ def geodesic_step(w: np.ndarray, h: np.ndarray, t: float, svd=None) -> np.ndarra
 
     With the thin SVD h = U S V^T the geodesic is
         w(t) = w V cos(S t) V^T + U sin(S t) V^T,
-    re-orthonormalized afterwards to remove floating-point drift (for a
-    near-orthonormal input the positive-diagonal QR is a pure correction; it
-    cannot flip column signs). Takes and returns D x d arrays. A caller
-    stepping along one h several times passes
-    ``svd = np.linalg.svd(h, full_matrices=False)`` once.
+    orthonormal for an orthonormal w and a horizontal h (w^T h = 0) up to
+    roundoff, which ``cholesky_qr`` removes. Takes and returns D x d arrays.
+    A caller stepping along one h several times passes
+    ``svd = np.linalg.svd(h, full_matrices=False)`` once. The optimizer
+    calls this once per accepted step: its trial steps never form w(t)
+    (see ``objective.GeodesicFrame``).
     """
     if h.shape != w.shape:
         raise DimensionMismatch("tangent vector shaped for a different map")
     u, s, vt = np.linalg.svd(h, full_matrices=False) if svd is None else svd
     cos = np.cos(s * t)
     sin = np.sin(s * t)
-    stepped = (w @ vt.T) * cos @ vt + (u * sin) @ vt
-    q, _ = orthonormalize(stepped)
-    return q
+    return cholesky_qr((w @ vt.T) * cos @ vt + (u * sin) @ vt)
+
+
+def cholesky_qr(s: np.ndarray) -> np.ndarray:
+    """The Q factor of a near-orthonormal D x d matrix: S chol(S^T S)^-T.
+
+    This is the positive-diagonal Q of ``orthonormalize`` (S^T S = R^T R),
+    with a d x d Cholesky factor in place of a Householder QR of S. Its
+    error grows with the square of S's condition number, so S must be
+    orthonormal up to ||S^T S - I||_F <= RETRACTION_GRAM_TOL, far more
+    drift than a geodesic step of an orthonormal map builds up; beyond
+    that it raises RankDeficient.
+    """
+    gram = s.T @ s
+    drift = np.linalg.norm(gram - np.eye(s.shape[1]))
+    if not drift <= RETRACTION_GRAM_TOL:
+        raise RankDeficient(
+            f"not near-orthonormal: ||S^T S - I||_F = {drift:.3e}, "
+            f"limit {RETRACTION_GRAM_TOL:.0e}"
+        )
+    return s @ np.linalg.inv(np.linalg.cholesky(gram)).T
 
 
 def parallel_transport(

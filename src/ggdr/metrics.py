@@ -243,8 +243,16 @@ def qr_pullback(
     rdiag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
     if np.any(rdiag.min(axis=-1) <= RANK_RTOL * rdiag.max(axis=-1)):
         raise SingularR("triangular factor numerically singular")
+    return qr_pullback_inverse(q, np.linalg.inv(r), dq)
+
+
+def qr_pullback_inverse(
+    q: np.ndarray, r_inv: np.ndarray, dq: np.ndarray
+) -> np.ndarray:
+    """``qr_pullback`` given R^{-1} (as ``manifold.qr_with_inverse`` returns it).
+
+    Unchecked: the caller vouches for the shapes and for R's conditioning.
+    """
     qt_dq = q.mT @ dq
     rhs = dq - q @ qt_dq + q @ btril(qt_dq)
-    # rhs @ R^{-T}; R has no entries below the diagonal for LU to pivot on,
-    # so this is one triangular back substitution per matrix
-    return np.linalg.solve(r, rhs.mT).mT
+    return rhs @ r_inv.mT

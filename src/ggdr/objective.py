@@ -12,20 +12,33 @@ of the samples that touch a pair, and the pair products Q_i^T Q_j as
 each chunk's pair gradients per sample as segment sums (``np.add.reduceat``
 over segments fixed when the Problem is built), pulls the per-sample sums
 back through the QR in one batch (by linearity, once per sample, not once
-per pair) and contracts X_i dY_i^T over blocks of samples.
+per pair), multiplying by the R^-1 that the QR's rank test computed, and
+contracts X_i dY_i^T over blocks of samples.
+
+Along a geodesic the batched W^T X is not needed at all: a GeodesicFrame
+holds two d x n stacks per sample, formed once per search direction, and a
+point of the geodesic reduces to scaling their rows (see GeodesicFrame).
+Maps and frame points share one evaluation core from the stack M on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .affinity import AffinityGraph
 from .errors import DimensionMismatch, InvalidShape, SingularPair
-from .manifold import GrassmannPoint, MappingMatrix, orthonormalize, stack_bases
+from .manifold import (
+    GrassmannPoint,
+    MappingMatrix,
+    orthonormalize,
+    qr_with_inverse,
+    stack_bases,
+)
 
-# measure, measure_grad: per-pair references, looked up here by perfbench/tracer.py
+# measure, measure_grad, qr_pullback: per-pair references, looked up here by
+# perfbench/tracer.py
 from .metrics import (  # noqa: F401
     PAIR_BLOCK_BYTES,
     MeasureKind,
@@ -35,6 +48,7 @@ from .metrics import (  # noqa: F401
     pair_measure_grads,
     pair_measures,
     qr_pullback,
+    qr_pullback_inverse,
 )
 
 # fail loudly when more than this fraction of weighted pairs is skipped
@@ -153,27 +167,52 @@ def _checked_map(w, p: Problem) -> np.ndarray:
     return wm
 
 
-def _reduce_active(wm: np.ndarray, p: Problem):
-    """Y = W^T X and its QR for the samples that touch a pair, in _active order."""
-    y = np.matmul(wm.T, p.points)[p._active]
-    return (y, *orthonormalize(y))
+@dataclass(frozen=True, eq=False)
+class GeodesicFrame:
+    """A problem's samples seen from the geodesic w(t) from w along h.
+
+    With the thin SVD h = U S V^T (``svd``), w(t) = w V cos(S t) V^T +
+    U sin(S t) V^T, so w(t)^T X_i = V M_i(t) with the d x n matrices
+        M_i(t) = cos(S t) A_i + sin(S t) B_i,  A_i = (w V)^T X_i,  B_i = U^T X_i
+    (``a`` and ``b``, for the samples that touch a pair). V is orthogonal,
+    so QR(V M) = (V Q, R): the pair products, the rank test and the cost at
+    w(t) are those of the stack M(t), and the gradient is
+    (sum_i X_i dM_i^T) V^T. ``cost`` and ``cost_and_grad`` take
+    ``frame.at(t)`` in place of a map, without forming w(t).
+    """
+
+    h: np.ndarray
+    svd: tuple
+    a: np.ndarray
+    b: np.ndarray
+    t: float = 0.0
+
+    def at(self, t: float) -> GeodesicFrame:
+        return replace(self, t=t)
+
+
+def geodesic_frame(w, h: np.ndarray, svd, p: Problem) -> GeodesicFrame:
+    """The frame of p's samples for the geodesic from the map w along h.
+
+    ``svd`` is ``np.linalg.svd(h, full_matrices=False)``.
+    """
+    wm = _checked_map(w, p)
+    if h.shape != wm.shape:
+        raise DimensionMismatch("tangent vector shaped for a different map")
+    u, _, vt = svd
+    a = np.matmul(vt @ wm.T, p.points)[p._active]
+    b = np.matmul(u.T, p.points)[p._active]
+    return GeodesicFrame(h, svd, a, b)
 
 
 def cost(w, p: Problem) -> float:
     """Evaluate the affinity-weighted objective at w.
 
-    Accepts a MappingMatrix or a raw D x d array (the raw form supports
-    finite-difference probes, which step off the orthonormal constraint).
+    Accepts a MappingMatrix, a raw D x d array (the raw form supports
+    finite-difference probes, which step off the orthonormal constraint) or
+    a point ``frame.at(t)`` of a GeodesicFrame.
     """
-    wm = _checked_map(w, p)
-    if not len(p._weights):
-        return 0.0
-    _, q, _ = _reduce_active(wm, p)
-    total = 0.0
-    for c, _, _ in p._chunks:
-        a = q[p._pair_i[c]].mT @ q[p._pair_j[c]]
-        total += float(p._weights[c] @ pair_measures(p.kind, a))
-    return p.pair_sign * total
+    return _evaluate(w, p, with_grad=False)[0]
 
 
 def euclidean_grad(w, p: Problem) -> np.ndarray:
@@ -185,28 +224,52 @@ def euclidean_grad(w, p: Problem) -> np.ndarray:
 def cost_and_grad(w, p: Problem) -> tuple[float, np.ndarray, int]:
     """Cost, Euclidean gradient, and the number of skipped singular pairs.
 
+    Takes w as ``cost`` does; the cost is bit-equal to ``cost(w, p)``.
     Pairs whose measure gradient requires an inverse that does not exist
     numerically are skipped (their cost contribution is kept). If more than
     MAX_SKIP_FRACTION of the weighted pairs get skipped the evaluation
     aborts, since the gradient would no longer represent the objective.
     """
-    wm = _checked_map(w, p)
-    grad = np.zeros(wm.shape)
+    return _evaluate(w, p, with_grad=True)
+
+
+def _stack(w, p: Problem):
+    """The d x n matrices M_i whose QR the cost sees, for the samples that
+    touch a pair, and the d x d factor that takes sum_i X_i dM_i^T to the
+    gradient (None for a map, where M_i = W^T X_i)."""
+    if isinstance(w, GeodesicFrame):
+        if w.a.shape != (len(p._active), p.target_dim, p.order):
+            raise DimensionMismatch("frame built for a different problem")
+        _, s, vt = w.svd
+        return np.cos(s * w.t)[:, None] * w.a + np.sin(s * w.t)[:, None] * w.b, vt
+    return np.matmul(_checked_map(w, p).T, p.points)[p._active], None
+
+
+def _evaluate(w, p: Problem, with_grad: bool):
+    """The cost, and with_grad the gradient and the skip count, at a map or
+    a frame point: one core from the stack M on."""
+    m, vt = _stack(w, p)
+    grad = np.zeros((p.ambient_dim, p.target_dim)) if with_grad else None
     if not len(p._weights):
         return 0.0, grad, 0
-    y, q, r = _reduce_active(wm, p)
-    dq = np.zeros_like(q)
+    q, _, r_inv = qr_with_inverse(m)
+    dq = np.zeros_like(q) if with_grad else None
     total = 0.0
     skipped = 0
     for c, i_side, j_side in p._chunks:
         weights = p._weights[c]
         qi, qj = q[p._pair_i[c]], q[p._pair_j[c]]
+        if not with_grad:
+            total += float(weights @ pair_measures(p.kind, qi.mT @ qj))
+            continue
         values, da, ok = pair_measure_grads(p.kind, qi.mT @ qj)
         total += float(weights @ values)
         skipped += len(ok) - int(np.count_nonzero(ok))
         da *= weights[:, None, None]
         _scatter_add(dq, qj @ da.mT, i_side)
         _scatter_add(dq, qi @ da, j_side)
+    if not with_grad:
+        return p.pair_sign * total, None, 0
 
     if skipped > MAX_SKIP_FRACTION * len(p._weights):
         raise SingularPair(
@@ -214,8 +277,8 @@ def cost_and_grad(w, p: Problem) -> tuple[float, np.ndarray, int]:
             "gradient would not represent the objective"
         )
 
-    dy = qr_pullback(y, q, r, p.pair_sign * dq)
-    # sum X_i dY_i^T in blocks of samples: tensordot copies each block of
+    dm = qr_pullback_inverse(q, r_inv, p.pair_sign * dq)
+    # sum X_i dM_i^T in blocks of samples: tensordot copies each block of
     # D x n bases, so one contraction over the whole stack would copy it
     # whole. A block may copy as much as the D x d gradient holds: fewer
     # samples make a product too thin to beat one matmul per sample.
@@ -224,6 +287,8 @@ def cost_and_grad(w, p: Problem) -> tuple[float, np.ndarray, int]:
     for start in range(0, len(p._active), step):
         block = slice(start, start + step)
         grad += np.tensordot(
-            p.points[p._active[block]], dy[block], axes=([0, 2], [0, 2])
+            p.points[p._active[block]], dm[block], axes=([0, 2], [0, 2])
         )
+    if vt is not None:
+        grad = grad @ vt
     return p.pair_sign * total, grad, skipped

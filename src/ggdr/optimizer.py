@@ -2,10 +2,17 @@
 
 The loop follows the classic pattern: project the ambient gradient to the
 horizontal space, combine it with the parallel-transported previous direction
-via a CG coefficient, Armijo-backtrack along the exact geodesic, and
-re-orthonormalize the iterate. Polak-Ribiere+ (with automatic reset) is the
-default coefficient; Fletcher-Reeves is available for comparison, and the
-periodic restart falls back to steepest descent every d(D-d) iterations.
+via a CG coefficient, and Armijo-backtrack along the exact geodesic.
+Polak-Ribiere+ (with automatic reset) is the default coefficient;
+Fletcher-Reeves is available for comparison, and the periodic restart falls
+back to steepest descent every d(D-d) iterations.
+
+Trial steps are evaluated in the frame of the search direction
+(``objective.GeodesicFrame``): per iteration the samples are projected onto
+it once, and each trial step scales d x n matrices instead of forming a
+D x d map. The accepted step's gradient comes from the same frame point, so
+its cost is the one the line search accepted, bit for bit; the new map is
+formed once, by ``geodesic_step``, for the transports and the next frame.
 
 Only the first line search of a fit starts at INITIAL_STEP. Every later one
 starts at min(INITIAL_STEP, 2 * alpha_prev * slope_prev / slope), from the
@@ -29,7 +36,7 @@ from .manifold import (
     parallel_transport,
     project_tangent,
 )
-from .objective import Problem, cost, cost_and_grad
+from .objective import Problem, cost, cost_and_grad, geodesic_frame
 
 # Armijo backtracking: the first trial step of a fit's first search (later
 # searches start from the last accepted step, at most this), the
@@ -188,16 +195,17 @@ def minimize(
             h = -rg
             slope = -rnorm * rnorm
 
-        # one SVD of h serves every trial step and both transports
+        # one SVD of h serves the frame, the step and both transports
         svd = np.linalg.svd(h, full_matrices=False)
+        frame = geodesic_frame(w, h, svd, p)
         alpha = INITIAL_STEP
         if last_decrease < 0.0:
             alpha = min(INITIAL_STEP, 2.0 * last_decrease / slope)
         backtracks = 0
         accepted = False
         while True:
-            w_try = geodesic_step(w, h, alpha, svd)
-            c_try = cost(w_try, p)
+            trial = frame.at(alpha)
+            c_try = cost(trial, p)
             if c_try <= c + SUFFICIENT_DECREASE * alpha * slope:
                 accepted = True
                 break
@@ -214,13 +222,14 @@ def minimize(
         trace.records.append(TraceRecord(it, c, rnorm, alpha, backtracks, skipped))
         last_decrease = alpha * slope
 
-        c_new, eg_new, skipped_new = cost_and_grad(w_try, p)
-        rg_old_moved = parallel_transport(rg, w, h, alpha, svd, w_try)
-        h_moved = parallel_transport(h, w, h, alpha, svd, w_try)
-        rg_new = project_tangent(w_try, eg_new)
+        c_new, eg_new, skipped_new = cost_and_grad(trial, p)
+        w_new = geodesic_step(w, h, alpha, svd)
+        rg_old_moved = parallel_transport(rg, w, h, alpha, svd, w_new)
+        h_moved = parallel_transport(h, w, h, alpha, svd, w_new)
+        rg_new = project_tangent(w_new, eg_new)
         rnorm_new = float(np.linalg.norm(rg_new))
         if callback is not None:
-            _notify(callback, it + 1, w_try, rg_new)
+            _notify(callback, it + 1, w_new, rg_new)
 
         if opts.beta_rule is BetaRule.FLETCHER_REEVES:
             beta = (rnorm_new * rnorm_new) / (rnorm * rnorm)
@@ -233,7 +242,7 @@ def minimize(
 
         cost_drop = abs(c - c_new)
         cost_scale = max(abs(c), abs(c_new), 1.0)
-        w, c, rg, rnorm, skipped = w_try, c_new, rg_new, rnorm_new, skipped_new
+        w, c, rg, rnorm, skipped = w_new, c_new, rg_new, rnorm_new, skipped_new
         it += 1
         if cost_drop <= opts.rel_cost_tol * cost_scale:
             trace.records.append(TraceRecord(it, c, rnorm, 0.0, 0, skipped))

@@ -6,15 +6,18 @@ from numpy.testing import assert_allclose
 from ggdr.errors import DimensionMismatch, InvalidShape, RankDeficient
 from ggdr.manifold import (
     RANK_RTOL,
+    RETRACTION_GRAM_TOL,
     GrassmannPoint,
     MappingMatrix,
     TangentVector,
+    cholesky_qr,
     geodesic_distance,
     geodesic_step,
     orthonormalize,
     parallel_transport,
     principal_angles,
     project_tangent,
+    qr_with_inverse,
     random_point,
     stack_bases,
 )
@@ -173,6 +176,58 @@ class TestStackedOrthonormalize:
         m[1, 0, 1, 1] = np.inf
         with pytest.raises(RankDeficient, match="^matrix 3 of the stack: non-finite"):
             orthonormalize(m)
+
+
+class TestQrWithInverse:
+    @pytest.mark.parametrize("shape", [(7, 3), (5, 7, 3), (2, 3, 9, 4)])
+    def test_inverse_of_the_returned_r(self, rng, shape):
+        m = rng.standard_normal(shape)
+        q, r, r_inv = qr_with_inverse(m)
+        q0, r0 = orthonormalize(m)
+        assert (q == q0).all() and (r == r0).all()
+        eye = np.eye(shape[-1])
+        assert np.abs(r_inv @ r - eye).max() < 1e-14
+        assert np.abs(r @ r_inv - eye).max() < 1e-14
+
+    def test_inverse_past_overflow_is_rank_deficient(self):
+        # unit pivots under 1e200 off-diagonals: the inverse overflows into
+        # inf - inf, which must fail the rank test, not pass it or raise
+        r = np.triu(np.full((4, 4), 1e200), 1) + np.eye(4)
+        with pytest.raises(RankDeficient, match="numerically rank-deficient"):
+            qr_with_inverse(np.vstack([r, np.zeros((2, 4))]))
+
+
+class TestCholeskyQr:
+    @pytest.mark.parametrize("shape", [(8, 3), (64, 8), (4096, 32)])
+    def test_equals_householder_on_geodesic_steps(self, rng, shape):
+        w = rand_map(*shape, seed=shape[0])
+        h = project_tangent(w, rng.standard_normal(shape))
+        u, s, vt = np.linalg.svd(h, full_matrices=False)
+        for t in (2.0**-5, 1.0, 2.5):
+            stepped = (w @ vt.T) * np.cos(s * t) @ vt + (u * np.sin(s * t)) @ vt
+            q = cholesky_qr(stepped)
+            assert np.abs(q - orthonormalize(stepped)[0]).max() <= 1e-14
+            assert (geodesic_step(w, h, t) == q).all()
+
+    def test_drift_within_the_bound(self, rng):
+        w = rand_map(12, 4, 5)
+        s = w + 1e-8 * rng.standard_normal((12, 4))
+        q = cholesky_qr(s)
+        assert np.abs(q - orthonormalize(s)[0]).max() <= 1e-14
+
+    @pytest.mark.parametrize("drift", [1e-5, 1.0])
+    def test_drift_beyond_the_bound_raises(self, rng, drift):
+        w = rand_map(12, 4, 6)
+        s = w + drift * rng.standard_normal((12, 4))
+        assert np.linalg.norm(s.T @ s - np.eye(4)) > RETRACTION_GRAM_TOL
+        with pytest.raises(RankDeficient, match="not near-orthonormal"):
+            cholesky_qr(s)
+
+    def test_nan_raises(self):
+        s = np.eye(5, 2)
+        s[3, 1] = np.nan
+        with pytest.raises(RankDeficient, match="not near-orthonormal"):
+            cholesky_qr(s)
 
 
 class TestStackBases:

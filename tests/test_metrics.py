@@ -9,7 +9,7 @@ from ggdr.errors import (
     SingularPair,
     SingularR,
 )
-from ggdr.manifold import GrassmannPoint, orthonormalize, random_point
+from ggdr.manifold import GrassmannPoint, orthonormalize, qr_with_inverse, random_point
 from ggdr.metrics import (
     MeasureKind,
     Orientation,
@@ -18,6 +18,7 @@ from ggdr.metrics import (
     measure,
     measure_grad,
     qr_pullback,
+    qr_pullback_inverse,
     reset_health_counters,
 )
 from oracles import fd_grad, measure_ambient, random_orthogonal, rel_error
@@ -216,6 +217,19 @@ class TestQrPullback:
             out = qr_pullback(x, q, r, 2.0 * (q - target))
             worst = max(worst, rel_error(out, fd_grad(loss_through_qr, x)))
         assert worst <= 1e-5
+
+    def test_inverse_form_matches_the_triangular_solve(self, rng):
+        # the objective multiplies by the R^-1 of the rank test; the LU
+        # solve it replaced is the reference, for a stack and one matrix
+        for shape in [(40, 12, 6), (9, 5)]:
+            x = rng.standard_normal(shape)
+            dq = rng.standard_normal(shape)
+            q, r, r_inv = qr_with_inverse(x)
+            qt_dq = q.mT @ dq
+            rhs = dq - q @ qt_dq + q @ btril(qt_dq)
+            expected = np.linalg.solve(r, rhs.mT).mT
+            for out in (qr_pullback_inverse(q, r_inv, dq), qr_pullback(x, q, r, dq)):
+                assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_singular_r(self, rng):
         x = rng.standard_normal((5, 2))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from ggdr.affinity import AffinityGraph
@@ -13,6 +14,7 @@ from ggdr.manifold import (
     GrassmannPoint,
     MappingMatrix,
     geodesic_distance,
+    geodesic_step,
     orthonormalize,
     project_tangent,
     random_point,
@@ -23,6 +25,7 @@ from ggdr.metrics import (
     health_counters,
     measure,
     measure_grad,
+    pair_measures,
     qr_pullback,
     reset_health_counters,
 )
@@ -32,6 +35,7 @@ from ggdr.objective import (
     cost,
     cost_and_grad,
     euclidean_grad,
+    geodesic_frame,
     reduce_point,
 )
 from ggdr.pipeline import SynthParams, synth_dataset
@@ -447,6 +451,96 @@ class TestBatchedMatchesPerPairReference:
         reset_health_counters()
         assert clamps == [1, 1]
         assert costs[1] == pytest.approx(costs[0], rel=1e-12)
+
+
+def frame_case(kind, d_ambient, d_target, order, n_points, seed):
+    """A problem, a map w, a horizontal h with its SVD, and their frame."""
+    p = rand_problem(kind, n_points, d_ambient, d_target, order, seed)
+    w = rand_w(d_ambient, d_target, seed + 1).w
+    noise = np.random.default_rng(seed + 2).standard_normal(w.shape)
+    h = project_tangent(w, noise)
+    svd = np.linalg.svd(h, full_matrices=False)
+    return p, w, h, svd, geodesic_frame(w, h, svd, p)
+
+
+def assert_frame_matches_map(p, w, h, svd, frame, t, cost_scale=None):
+    """Cost (to 1e-12 of cost_scale, default its own size) and gradient (to
+    1e-10 relative) at frame.at(t) against those at the formed map."""
+    w_t = geodesic_step(w, h, t, svd)
+    c, g, skipped = cost_and_grad(frame.at(t), p)
+    c_map, g_map, skipped_map = cost_and_grad(w_t, p)
+    assert skipped == skipped_map
+    assert cost(frame.at(t), p) == c  # what Armijo accepted, bit for bit
+    scale = abs(c_map) if cost_scale is None else cost_scale
+    assert abs(c - c_map) <= 1e-12 * scale
+    assert np.linalg.norm(g - g_map) <= 1e-10 * np.linalg.norm(g_map)
+
+
+class TestGeodesicFrame:
+    # 0, a backtracked step, the first trial, and a step past the first
+    STEPS = (0.0, 0.5**3, 1.0, 2.5)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_cost_matches_the_formed_map(self, kind):
+        p, w, h, svd, frame = frame_case(kind, 14, 6, 3, 12, seed=30)
+        for t in self.STEPS:
+            c_map = cost(geodesic_step(w, h, t, svd), p)
+            assert cost(frame.at(t), p) == pytest.approx(c_map, rel=1e-12, abs=0)
+        assert cost(frame.at(0.0), p) == pytest.approx(cost(w, p), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_gradient_matches_the_formed_map(self, kind):
+        p, w, h, svd, frame = frame_case(kind, 14, 6, 3, 12, seed=31)
+        for t in self.STEPS:
+            assert_frame_matches_map(p, w, h, svd, frame, t)
+
+    def test_rank_deficient_step_raises(self):
+        # the frame runs the same rank test on M(t) as the map on W(t)^T X
+        e = np.eye(8)
+        pts = (GrassmannPoint(e[:, [5, 6]]), random_point(8, 2, 3))
+        p = Problem(pts, pair_graph(), MeasureKind.PROJECTION_SQ, target_dim=3)
+        w = e[:, :3]
+        h = project_tangent(w, np.random.default_rng(4).standard_normal((8, 3)))
+        frame = geodesic_frame(w, h, np.linalg.svd(h, full_matrices=False), p)
+        with pytest.raises(RankDeficient):
+            cost(frame.at(0.0), p)
+        with pytest.raises(RankDeficient):
+            cost(w, p)
+
+    def test_frame_of_another_problem_rejected(self):
+        p, w, h, svd, frame = frame_case(MeasureKind.PROJECTION_SQ, 10, 4, 2, 6, 5)
+        other = rand_problem(MeasureKind.PROJECTION_SQ, 8, 10, 4, 2, seed=6)
+        with pytest.raises(DimensionMismatch, match="different problem"):
+            cost(frame.at(0.5), other)
+        with pytest.raises(DimensionMismatch):
+            geodesic_frame(w, h[:, :3], svd, p)
+
+    @given(
+        d_ambient=st.integers(min_value=3, max_value=64),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_formed_map_over_shapes(self, d_ambient, data):
+        # d > n: at d = n every reduced point is all of R^d, so the cost is
+        # a constant and its gradient roundoff alone
+        d_target = data.draw(st.integers(min_value=2, max_value=d_ambient))
+        order = data.draw(st.integers(1, min(d_target - 1, 4)))
+        kind = data.draw(st.sampled_from(ALL_KINDS))
+        seed = data.draw(st.integers(min_value=0, max_value=2**31))
+        t = data.draw(st.sampled_from(self.STEPS))
+        p, w, h, svd, frame = frame_case(kind, d_ambient, d_target, order, 6, seed)
+        q, _ = orthonormalize(np.matmul(geodesic_step(w, h, t, svd).T, p.points))
+        i, j = np.nonzero(np.triu(p.graph.g, 1))
+        a = q[i].mT @ q[j]
+        if kind is MeasureKind.FUBINI_STUDY:
+            # its slope -1/sqrt(1 - s^2), s = |det Q_i^T Q_j|, multiplies
+            # roundoff in s by s^2 / (1 - s^2): keep pairs off coincidence
+            s = np.abs(np.linalg.det(a))
+            assume((1.0 - s * s).min() > 1e-4)
+        # the cost is a signed sum of nonnegative pair terms, so its roundoff
+        # scales with their sum, however much of it the signs cancel
+        scale = float(np.sum(pair_measures(kind, a)))
+        assert_frame_matches_map(p, w, h, svd, frame, t, cost_scale=scale)
 
 
 class TestSharedBases:

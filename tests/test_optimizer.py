@@ -181,13 +181,14 @@ class TestLineSearch:
         # each search's first trial is min(1, 2 alpha_prev slope_prev / slope),
         # slope = <rgrad, h>; only the fit's first search starts at 1
         events = []
-        step = optimizer.geodesic_step
+        cost = optimizer.cost
 
-        def recording(w, h, t, svd=None):
-            events.append(("trial", h.copy(), t))
-            return step(w, h, t, svd)
+        def recording(point, p):
+            # trial steps are evaluated as points of the direction's frame
+            events.append(("trial", point.h.copy(), point.t))
+            return cost(point, p)
 
-        monkeypatch.setattr(optimizer, "geodesic_step", recording)
+        monkeypatch.setattr(optimizer, "cost", recording)
         p = two_class_problem(sigma=0.2, seed=5)
         opts = OptimOptions(max_iter=30, rel_cost_tol=0.0, grad_norm_tol=0.0)
         _, trace = minimize(
