@@ -276,24 +276,47 @@ def geodesic_distance(x1: GrassmannPoint, x2: GrassmannPoint) -> float:
     return float(np.linalg.norm(principal_angles(x1, x2)))
 
 
-def geodesic_step(w: np.ndarray, h: np.ndarray, t: float, svd=None) -> np.ndarray:
+def geodesic_factor(w: np.ndarray, h: np.ndarray):
+    """The factor of the direction h that the geodesic from w is built on.
+
+    Returns (w V, h V, s, V) with h^T h = V diag(s^2) V^T, from the
+    eigendecomposition of the d x d Gram (eigenvalues below 0 by roundoff
+    count as 0). With the thin SVD h = U S V^T, h V = U S, so the step, the
+    transport and ``objective.GeodesicFrame`` need no SVD of h: they use U
+    only through
+        U sin(S t) = h V t sinc(S t),
+        U (1 - cos S t) U^T = h V (t^2 / 2) sinc^2(S t / 2) (h V)^T,
+    whose coefficients are exact and finite at s = 0, so nothing divides by
+    a singular value. The optimizer builds the factor once per search
+    direction, for the frame, the step and both transports.
+    """
+    lam, v = np.linalg.eigh(h.T @ h)
+    return w @ v, h @ v, np.sqrt(np.maximum(lam, 0.0)), v
+
+
+def sinc(x: np.ndarray) -> np.ndarray:
+    """sin(x) / x, and 1 at x = 0: ``np.sinc(x / pi)`` in half the numpy
+    calls, which on the length-d vectors of a factor are most of its cost."""
+    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
+
+
+def geodesic_step(w: np.ndarray, h: np.ndarray, t: float, factor=None) -> np.ndarray:
     """Move along the exact Grassmann geodesic from the map w in direction h.
 
     With the thin SVD h = U S V^T the geodesic is
-        w(t) = w V cos(S t) V^T + U sin(S t) V^T,
-    orthonormal for an orthonormal w and a horizontal h (w^T h = 0) up to
-    roundoff, which ``cholesky_qr`` removes. Takes and returns D x d arrays.
-    A caller stepping along one h several times passes
-    ``svd = np.linalg.svd(h, full_matrices=False)`` once. The optimizer
+        w(t) = w V cos(S t) V^T + U sin(S t) V^T
+             = (w V cos(S t) + h V t sinc(S t)) V^T,
+    the second form on ``geodesic_factor(w, h)``, passed in as ``factor``
+    by a caller that already has it. The result is orthonormal for an
+    orthonormal w and a horizontal h (w^T h = 0) up to roundoff, which
+    ``cholesky_qr`` removes. Takes and returns D x d arrays. The optimizer
     calls this once per accepted step: its trial steps never form w(t)
     (see ``objective.GeodesicFrame``).
     """
     if h.shape != w.shape:
         raise DimensionMismatch("tangent vector shaped for a different map")
-    u, s, vt = np.linalg.svd(h, full_matrices=False) if svd is None else svd
-    cos = np.cos(s * t)
-    sin = np.sin(s * t)
-    return cholesky_qr((w @ vt.T) * cos @ vt + (u * sin) @ vt)
+    wv, hv, s, v = geodesic_factor(w, h) if factor is None else factor
+    return cholesky_qr((wv * np.cos(s * t) + hv * (t * sinc(s * t))) @ v.T)
 
 
 def cholesky_qr(s: np.ndarray) -> np.ndarray:
@@ -321,29 +344,33 @@ def parallel_transport(
     w0: np.ndarray,
     hdir: np.ndarray,
     t: float,
-    svd=None,
+    factor=None,
     w1: np.ndarray | None = None,
 ) -> np.ndarray:
     """Transport hmove along the geodesic from w0 in direction hdir.
 
     Uses the closed form associated with the exact geodesic: with
     hdir = U S V^T,
-        tau(hmove) = hmove + ((-w0 V sin(S t) + U cos(S t)) - U) U^T hmove.
-    The result is horizontal at the geodesic endpoint and preserves the
-    Frobenius norm (transport is an isometry). Takes and returns D x d
-    arrays; ``svd`` (as for ``geodesic_step``) and the endpoint
+        tau(hmove) = hmove - (w0 V sin(S t) + U (1 - cos S t)) U^T hmove
+                   = hmove - (w0 V t sinc(S t) + h V (t^2 / 2) sinc^2(S t / 2))
+                     (h V)^T hmove,
+    the second form on ``geodesic_factor(w0, hdir)``. The result is
+    horizontal at the geodesic endpoint and preserves the Frobenius norm
+    (transport is an isometry). Takes and returns D x d arrays; ``factor``
+    (as for ``geodesic_step``) and the endpoint
     ``w1 = geodesic_step(w0, hdir, t)`` may be passed in.
     """
     if hmove.shape != w0.shape or hdir.shape != w0.shape:
         raise DimensionMismatch("transport arguments have inconsistent shapes")
-    if svd is None:
-        svd = np.linalg.svd(hdir, full_matrices=False)
+    if factor is None:
+        factor = geodesic_factor(w0, hdir)
     if w1 is None:
-        w1 = geodesic_step(w0, hdir, t, svd)
-    u, s, vt = svd
-    ut_h = u.T @ hmove
-    rotated = (-(w0 @ vt.T) * np.sin(s * t) + u * np.cos(s * t)) @ ut_h
-    moved = hmove - u @ ut_h + rotated
+        w1 = geodesic_step(w0, hdir, t, factor)
+    wv, hv, s, _ = factor
+    # t sinc(S t) = t sinc(S t / 2) cos(S t / 2): one sinc for both terms
+    half = t * sinc(0.5 * t * s)
+    turn = wv * (half * np.cos(0.5 * t * s)) + hv * (0.5 * half * half)
+    moved = hmove - turn @ (hv.T @ hmove)
     # re-projection removes O(eps) drift so the result satisfies the
     # horizontality invariant at the corrected endpoint
     return moved - w1 @ (w1.T @ moved)

@@ -16,8 +16,10 @@ per pair), multiplying by the R^-1 that the QR's rank test computed, and
 contracts X_i dY_i^T over blocks of samples.
 
 Along a geodesic the batched W^T X is not needed at all: a GeodesicFrame
-holds two d x n stacks per sample, formed once per search direction, and a
-point of the geodesic reduces to scaling their rows (see GeodesicFrame).
+holds two d x n stacks per sample, projected once per search direction onto
+the columns of W V and h V from ``manifold.geodesic_factor`` (an eigh of the
+d x d Gram h^T h, no SVD of h), and a point of the geodesic reduces to
+scaling their rows (see GeodesicFrame).
 Maps and frame points share one evaluation core from the stack M on.
 """
 
@@ -34,6 +36,7 @@ from .manifold import (
     MappingMatrix,
     orthonormalize,
     qr_with_inverse,
+    sinc,
     stack_bases,
 )
 
@@ -171,9 +174,11 @@ def _checked_map(w, p: Problem) -> np.ndarray:
 class GeodesicFrame:
     """A problem's samples seen from the geodesic w(t) from w along h.
 
-    With the thin SVD h = U S V^T (``svd``), w(t) = w V cos(S t) V^T +
-    U sin(S t) V^T, so w(t)^T X_i = V M_i(t) with the d x n matrices
-        M_i(t) = cos(S t) A_i + sin(S t) B_i,  A_i = (w V)^T X_i,  B_i = U^T X_i
+    On the factor (w V, h V, s, V) of ``manifold.geodesic_factor``,
+    w(t) = (w V cos(S t) + h V t sinc(S t)) V^T, so w(t)^T X_i = V M_i(t)
+    with the d x n matrices
+        M_i(t) = cos(S t) A_i + t sinc(S t) B_i,
+        A_i = (w V)^T X_i,  B_i = (h V)^T X_i
     (``a`` and ``b``, for the samples that touch a pair). V is orthogonal,
     so QR(V M) = (V Q, R): the pair products, the rank test and the cost at
     w(t) are those of the stack M(t), and the gradient is
@@ -181,8 +186,8 @@ class GeodesicFrame:
     ``frame.at(t)`` in place of a map, without forming w(t).
     """
 
-    h: np.ndarray
-    svd: tuple
+    s: np.ndarray
+    v: np.ndarray
     a: np.ndarray
     b: np.ndarray
     t: float = 0.0
@@ -191,18 +196,18 @@ class GeodesicFrame:
         return replace(self, t=t)
 
 
-def geodesic_frame(w, h: np.ndarray, svd, p: Problem) -> GeodesicFrame:
+def geodesic_frame(w, h: np.ndarray, factor, p: Problem) -> GeodesicFrame:
     """The frame of p's samples for the geodesic from the map w along h.
 
-    ``svd`` is ``np.linalg.svd(h, full_matrices=False)``.
+    ``factor`` is ``manifold.geodesic_factor(w, h)``.
     """
     wm = _checked_map(w, p)
     if h.shape != wm.shape:
         raise DimensionMismatch("tangent vector shaped for a different map")
-    u, _, vt = svd
-    a = np.matmul(vt @ wm.T, p.points)[p._active]
-    b = np.matmul(u.T, p.points)[p._active]
-    return GeodesicFrame(h, svd, a, b)
+    wv, hv, s, v = factor
+    a = np.matmul(wv.T, p.points)[p._active]
+    b = np.matmul(hv.T, p.points)[p._active]
+    return GeodesicFrame(s, v, a, b)
 
 
 def cost(w, p: Problem) -> float:
@@ -240,8 +245,8 @@ def _stack(w, p: Problem):
     if isinstance(w, GeodesicFrame):
         if w.a.shape != (len(p._active), p.target_dim, p.order):
             raise DimensionMismatch("frame built for a different problem")
-        _, s, vt = w.svd
-        return np.cos(s * w.t)[:, None] * w.a + np.sin(s * w.t)[:, None] * w.b, vt
+        s, t = w.s[:, None], w.t
+        return np.cos(s * t) * w.a + (t * sinc(s * t)) * w.b, w.v.T
     return np.matmul(_checked_map(w, p).T, p.points)[p._active], None
 
 

@@ -7,12 +7,15 @@ Polak-Ribiere+ (with automatic reset) is the default coefficient;
 Fletcher-Reeves is available for comparison, and the periodic restart falls
 back to steepest descent every d(D-d) iterations.
 
-Trial steps are evaluated in the frame of the search direction
-(``objective.GeodesicFrame``): per iteration the samples are projected onto
-it once, and each trial step scales d x n matrices instead of forming a
-D x d map. The accepted step's gradient comes from the same frame point, so
-its cost is the one the line search accepted, bit for bit; the new map is
-formed once, by ``geodesic_step``, for the transports and the next frame.
+Each iteration factors its search direction h once, through the d x d Gram
+h^T h (``manifold.geodesic_factor``; no SVD of h is taken), and the factor
+serves the frame, the step and both transports. Trial steps are evaluated
+in the frame of the search direction (``objective.GeodesicFrame``): per
+iteration the samples are projected onto it once, and each trial step
+scales d x n matrices instead of forming a D x d map. The accepted step's
+gradient comes from the same frame point, so its cost is the one the line
+search accepted, bit for bit; the new map is formed once, by
+``geodesic_step``, for the transports and the next frame.
 
 Only the first line search of a fit starts at INITIAL_STEP. Every later one
 starts at min(INITIAL_STEP, 2 * alpha_prev * slope_prev / slope), from the
@@ -32,6 +35,7 @@ from .errors import InvalidShape
 from .manifold import (
     MappingMatrix,
     TangentVector,
+    geodesic_factor,
     geodesic_step,
     parallel_transport,
     project_tangent,
@@ -128,7 +132,7 @@ class OptimTrace:
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sum(a * b))
+    return float(np.vdot(a, b))
 
 
 def _notify(callback, iteration: int, w: np.ndarray, rg: np.ndarray) -> None:
@@ -195,9 +199,9 @@ def minimize(
             h = -rg
             slope = -rnorm * rnorm
 
-        # one SVD of h serves the frame, the step and both transports
-        svd = np.linalg.svd(h, full_matrices=False)
-        frame = geodesic_frame(w, h, svd, p)
+        # one factor of h serves the frame, the step and both transports
+        factor = geodesic_factor(w, h)
+        frame = geodesic_frame(w, h, factor, p)
         alpha = INITIAL_STEP
         if last_decrease < 0.0:
             alpha = min(INITIAL_STEP, 2.0 * last_decrease / slope)
@@ -223,9 +227,9 @@ def minimize(
         last_decrease = alpha * slope
 
         c_new, eg_new, skipped_new = cost_and_grad(trial, p)
-        w_new = geodesic_step(w, h, alpha, svd)
-        rg_old_moved = parallel_transport(rg, w, h, alpha, svd, w_new)
-        h_moved = parallel_transport(h, w, h, alpha, svd, w_new)
+        w_new = geodesic_step(w, h, alpha, factor)
+        rg_old_moved = parallel_transport(rg, w, h, alpha, factor, w_new)
+        h_moved = parallel_transport(h, w, h, alpha, factor, w_new)
         rg_new = project_tangent(w_new, eg_new)
         rnorm_new = float(np.linalg.norm(rg_new))
         if callback is not None:

@@ -110,3 +110,32 @@ def read_matrix_csv_lines(path) -> np.ndarray:
             f"column {col + 1}"
         )
     return matrix
+
+
+def geodesic_step_svd(w: np.ndarray, h: np.ndarray, t: float) -> np.ndarray:
+    """The geodesic on the thin SVD h = U S V^T (Edelman, Arias & Smith):
+    w V cos(S t) V^T + U sin(S t) V^T, re-orthonormalized by a
+    positive-diagonal Householder QR.
+
+    The reference for ``geodesic_step``, which builds the same curve on the
+    eigendecomposition of h^T h.
+    """
+    u, s, vt = np.linalg.svd(h, full_matrices=False)
+    q, r = np.linalg.qr((w @ vt.T) * np.cos(s * t) @ vt + (u * np.sin(s * t)) @ vt)
+    return q * np.sign(np.diag(r))
+
+
+def parallel_transport_svd(
+    x: np.ndarray, w: np.ndarray, h: np.ndarray, t: float
+) -> np.ndarray:
+    """Transport of x along the geodesic from w along h = U S V^T:
+    x + ((-w V sin(S t) + U cos(S t)) - U) U^T x, re-projected onto the
+    horizontal space at ``geodesic_step_svd(w, h, t)``.
+
+    The reference for ``parallel_transport``.
+    """
+    u, s, vt = np.linalg.svd(h, full_matrices=False)
+    ut_x = u.T @ x
+    moved = x - u @ ut_x + (-(w @ vt.T) * np.sin(s * t) + u * np.cos(s * t)) @ ut_x
+    w1 = geodesic_step_svd(w, h, t)
+    return moved - w1 @ (w1.T @ moved)

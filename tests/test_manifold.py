@@ -12,6 +12,7 @@ from ggdr.manifold import (
     TangentVector,
     cholesky_qr,
     geodesic_distance,
+    geodesic_factor,
     geodesic_step,
     orthonormalize,
     parallel_transport,
@@ -19,9 +20,15 @@ from ggdr.manifold import (
     project_tangent,
     qr_with_inverse,
     random_point,
+    sinc,
     stack_bases,
 )
-from oracles import integrate_geodesic, random_orthogonal
+from oracles import (
+    geodesic_step_svd,
+    integrate_geodesic,
+    parallel_transport_svd,
+    random_orthogonal,
+)
 
 
 def with_condition(cond, d_ambient, k, seed):
@@ -202,9 +209,9 @@ class TestCholeskyQr:
     def test_equals_householder_on_geodesic_steps(self, rng, shape):
         w = rand_map(*shape, seed=shape[0])
         h = project_tangent(w, rng.standard_normal(shape))
-        u, s, vt = np.linalg.svd(h, full_matrices=False)
+        wv, hv, s, v = geodesic_factor(w, h)
         for t in (2.0**-5, 1.0, 2.5):
-            stepped = (w @ vt.T) * np.cos(s * t) @ vt + (u * np.sin(s * t)) @ vt
+            stepped = (wv * np.cos(s * t) + hv * (t * sinc(s * t))) @ v.T
             q = cholesky_qr(stepped)
             assert np.abs(q - orthonormalize(stepped)[0]).max() <= 1e-14
             assert (geodesic_step(w, h, t) == q).all()
@@ -423,21 +430,102 @@ class TestParallelTransport:
             assert abs(np.linalg.norm(out) - np.linalg.norm(mv)) <= 1e-8
 
 
+def direction_of_rank(w, rank, singular_values, rng):
+    """A horizontal direction at w with the given rank and nonzero
+    singular values: U diag(s) V_r^T, U orthonormal and orthogonal to w."""
+    h = np.zeros(w.shape)
+    if rank:
+        m = rng.standard_normal((w.shape[0], rank))
+        u, _ = orthonormalize(m - w @ (w.T @ m))
+        v = random_orthogonal(w.shape[1], rng)[:, :rank]
+        h = (u * singular_values) @ v.T
+    return h
+
+
+def assert_matches_svd_form(w, h, x, t):
+    """Step and transports against the SVD-form oracles: 1e-12 up to
+    t = 2.5, 1e-10 beyond (transports relative to the moved norm)."""
+    bound = 1e-12 if t <= 2.5 else 1e-10
+    assert np.abs(geodesic_step(w, h, t) - geodesic_step_svd(w, h, t)).max() <= bound
+    for moved in (x, h):
+        scale = max(np.linalg.norm(moved), 1.0)
+        err = parallel_transport(moved, w, h, t) - parallel_transport_svd(moved, w, h, t)
+        assert np.abs(err).max() <= bound * scale
+
+
 class TestFactoredGeodesic:
-    def test_reused_svd_and_endpoint_are_bit_identical(self, rng):
+    # 0, a backtracked step, the first trial, a step past it, and a long one
+    STEPS = (0.0, 2.0**-7, 1.0, 2.5, 40.0)
+
+    def test_reused_factor_and_endpoint_are_bit_identical(self, rng):
         # the optimizer factors h once per iteration and reuses the accepted
         # endpoint in both transports; nothing may change in the last bit
         w = rand_map(12, 4, 3)
         h = project_tangent(w, rng.standard_normal((12, 4)))
         mv = project_tangent(w, rng.standard_normal((12, 4)))
-        svd = np.linalg.svd(h, full_matrices=False)
+        factor = geodesic_factor(w, h)
         for t in (1.0, 0.5, 2.0**-7):
-            w1 = geodesic_step(w, h, t, svd)
+            w1 = geodesic_step(w, h, t, factor)
             assert (w1 == geodesic_step(w, h, t)).all()
             for moved in (mv, h):
                 fresh = parallel_transport(moved, w, h, t)
-                reused = parallel_transport(moved, w, h, t, svd, w1)
+                reused = parallel_transport(moved, w, h, t, factor, w1)
                 assert (reused == fresh).all()
+
+    def test_factor_diagonalizes_the_gram(self, rng):
+        w = rand_map(30, 5, 4)
+        h = project_tangent(w, rng.standard_normal((30, 5)))
+        wv, hv, s, v = geodesic_factor(w, h)
+        assert np.abs(v.T @ v - np.eye(5)).max() <= 1e-14
+        assert (wv == w @ v).all() and (hv == h @ v).all()
+        assert np.abs(hv.T @ hv - np.diag(s * s)).max() <= 1e-13 * s.max() ** 2
+        assert_allclose(
+            np.sort(s)[::-1], np.linalg.svd(h, compute_uv=False), rtol=1e-12
+        )
+
+    def test_sinc(self, rng):
+        x = np.concatenate([[0.0, -0.0, 1e-300, -1e-300], rng.normal(0, 30, 200)])
+        assert_allclose(sinc(x), np.sinc(x / np.pi), rtol=1e-14, atol=1e-15)
+        assert sinc(x)[:4].tolist() == [1.0] * 4
+
+    @pytest.mark.parametrize(
+        "d_ambient, d_target, singular_values",
+        [
+            (8, 3, []),  # h = 0
+            (40, 6, [1.3, 0.4]),  # rank 2 of 6
+            (64, 12, [0.9, 0.5, 0.5, 0.5, 0.2]),  # rank 5, a triple value
+            (20, 5, [0.7] * 5),  # full rank, all equal
+            (4096, 32, np.linspace(0.05, 1.5, 12)),  # rank 12 of 32, wide
+        ],
+        ids=["zero", "rank2", "repeated", "all-equal", "wide"],
+    )
+    def test_matches_svd_form(self, rng, d_ambient, d_target, singular_values):
+        w = rand_map(d_ambient, d_target, d_ambient)
+        rank = len(singular_values)
+        h = direction_of_rank(w, rank, np.asarray(singular_values), rng)
+        x = project_tangent(w, rng.standard_normal(w.shape))
+        for t in self.STEPS:
+            assert_matches_svd_form(w, h, x / np.linalg.norm(x), t)
+
+    @given(
+        d_ambient=st.integers(min_value=2, max_value=64),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_svd_form_over_shapes_and_ranks(self, d_ambient, data):
+        d_target = data.draw(st.integers(1, d_ambient - 1))
+        rank = data.draw(st.integers(0, min(d_target, d_ambient - d_target)))
+        repeats = data.draw(st.integers(1, max(rank, 1)))
+        seed = data.draw(st.integers(min_value=0, max_value=2**31))
+        t = data.draw(st.sampled_from(self.STEPS))
+        # a stream apart from rand_map's, which would give x = w
+        rng = np.random.default_rng(seed + 1)
+        w = rand_map(d_ambient, d_target, seed)
+        values = rng.uniform(0.05, 2.0, rank)
+        values[:repeats] = values[:1]  # the first value, repeated
+        h = direction_of_rank(w, rank, values, rng)
+        x = project_tangent(w, rng.standard_normal(w.shape))
+        assert_matches_svd_form(w, h, x / np.linalg.norm(x), t)
 
 
 class TestCosineClamp:

@@ -14,6 +14,7 @@ from ggdr.manifold import (
     GrassmannPoint,
     MappingMatrix,
     geodesic_distance,
+    geodesic_factor,
     geodesic_step,
     orthonormalize,
     project_tangent,
@@ -454,19 +455,19 @@ class TestBatchedMatchesPerPairReference:
 
 
 def frame_case(kind, d_ambient, d_target, order, n_points, seed):
-    """A problem, a map w, a horizontal h with its SVD, and their frame."""
+    """A problem, a map w, a horizontal h with its factor, and their frame."""
     p = rand_problem(kind, n_points, d_ambient, d_target, order, seed)
     w = rand_w(d_ambient, d_target, seed + 1).w
     noise = np.random.default_rng(seed + 2).standard_normal(w.shape)
     h = project_tangent(w, noise)
-    svd = np.linalg.svd(h, full_matrices=False)
-    return p, w, h, svd, geodesic_frame(w, h, svd, p)
+    factor = geodesic_factor(w, h)
+    return p, w, h, factor, geodesic_frame(w, h, factor, p)
 
 
-def assert_frame_matches_map(p, w, h, svd, frame, t, cost_scale=None):
+def assert_frame_matches_map(p, w, h, factor, frame, t, cost_scale=None):
     """Cost (to 1e-12 of cost_scale, default its own size) and gradient (to
     1e-10 relative) at frame.at(t) against those at the formed map."""
-    w_t = geodesic_step(w, h, t, svd)
+    w_t = geodesic_step(w, h, t, factor)
     c, g, skipped = cost_and_grad(frame.at(t), p)
     c_map, g_map, skipped_map = cost_and_grad(w_t, p)
     assert skipped == skipped_map
@@ -482,17 +483,17 @@ class TestGeodesicFrame:
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_cost_matches_the_formed_map(self, kind):
-        p, w, h, svd, frame = frame_case(kind, 14, 6, 3, 12, seed=30)
+        p, w, h, factor, frame = frame_case(kind, 14, 6, 3, 12, seed=30)
         for t in self.STEPS:
-            c_map = cost(geodesic_step(w, h, t, svd), p)
+            c_map = cost(geodesic_step(w, h, t, factor), p)
             assert cost(frame.at(t), p) == pytest.approx(c_map, rel=1e-12, abs=0)
         assert cost(frame.at(0.0), p) == pytest.approx(cost(w, p), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_gradient_matches_the_formed_map(self, kind):
-        p, w, h, svd, frame = frame_case(kind, 14, 6, 3, 12, seed=31)
+        p, w, h, factor, frame = frame_case(kind, 14, 6, 3, 12, seed=31)
         for t in self.STEPS:
-            assert_frame_matches_map(p, w, h, svd, frame, t)
+            assert_frame_matches_map(p, w, h, factor, frame, t)
 
     def test_rank_deficient_step_raises(self):
         # the frame runs the same rank test on M(t) as the map on W(t)^T X
@@ -501,19 +502,19 @@ class TestGeodesicFrame:
         p = Problem(pts, pair_graph(), MeasureKind.PROJECTION_SQ, target_dim=3)
         w = e[:, :3]
         h = project_tangent(w, np.random.default_rng(4).standard_normal((8, 3)))
-        frame = geodesic_frame(w, h, np.linalg.svd(h, full_matrices=False), p)
+        frame = geodesic_frame(w, h, geodesic_factor(w, h), p)
         with pytest.raises(RankDeficient):
             cost(frame.at(0.0), p)
         with pytest.raises(RankDeficient):
             cost(w, p)
 
     def test_frame_of_another_problem_rejected(self):
-        p, w, h, svd, frame = frame_case(MeasureKind.PROJECTION_SQ, 10, 4, 2, 6, 5)
+        p, w, h, factor, frame = frame_case(MeasureKind.PROJECTION_SQ, 10, 4, 2, 6, 5)
         other = rand_problem(MeasureKind.PROJECTION_SQ, 8, 10, 4, 2, seed=6)
         with pytest.raises(DimensionMismatch, match="different problem"):
             cost(frame.at(0.5), other)
         with pytest.raises(DimensionMismatch):
-            geodesic_frame(w, h[:, :3], svd, p)
+            geodesic_frame(w, h[:, :3], factor, p)
 
     @given(
         d_ambient=st.integers(min_value=3, max_value=64),
@@ -528,8 +529,8 @@ class TestGeodesicFrame:
         kind = data.draw(st.sampled_from(ALL_KINDS))
         seed = data.draw(st.integers(min_value=0, max_value=2**31))
         t = data.draw(st.sampled_from(self.STEPS))
-        p, w, h, svd, frame = frame_case(kind, d_ambient, d_target, order, 6, seed)
-        q, _ = orthonormalize(np.matmul(geodesic_step(w, h, t, svd).T, p.points))
+        p, w, h, factor, frame = frame_case(kind, d_ambient, d_target, order, 6, seed)
+        q, _ = orthonormalize(np.matmul(geodesic_step(w, h, t, factor).T, p.points))
         i, j = np.nonzero(np.triu(p.graph.g, 1))
         a = q[i].mT @ q[j]
         if kind is MeasureKind.FUBINI_STUDY:
@@ -540,7 +541,7 @@ class TestGeodesicFrame:
         # the cost is a signed sum of nonnegative pair terms, so its roundoff
         # scales with their sum, however much of it the signs cancel
         scale = float(np.sum(pair_measures(kind, a)))
-        assert_frame_matches_map(p, w, h, svd, frame, t, cost_scale=scale)
+        assert_frame_matches_map(p, w, h, factor, frame, t, cost_scale=scale)
 
 
 class TestSharedBases:

@@ -71,6 +71,18 @@ class TestMinimize:
         assert trace.records[0].grad_norm <= 1e-6
         assert np.abs(w.w - np.eye(6)).max() == 0.0
 
+    def test_takes_no_svd(self, monkeypatch):
+        # each direction is factored through its d x d Gram: a fit that
+        # reached np.linalg.svd anywhere would raise here
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called in a fit")
+
+        p = two_class_problem(sigma=0.2, seed=7)
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        opts = OptimOptions(max_iter=20, rel_cost_tol=0.0, grad_norm_tol=0.0)
+        _, trace = minimize(p, opts=opts)
+        assert trace.iterations == 20 and not trace.line_search_failed
+
     def test_separable_two_class_converges(self):
         p = two_class_problem()
         opts = OptimOptions(grad_norm_tol=1e-4, rel_cost_tol=0.0)
@@ -181,26 +193,32 @@ class TestLineSearch:
         # each search's first trial is min(1, 2 alpha_prev slope_prev / slope),
         # slope = <rgrad, h>; only the fit's first search starts at 1
         events = []
-        cost = optimizer.cost
+        cost, geodesic_frame = optimizer.cost, optimizer.geodesic_frame
+
+        def framing(w, h, factor, p):
+            events.append(("direction", h.copy()))
+            return geodesic_frame(w, h, factor, p)
 
         def recording(point, p):
             # trial steps are evaluated as points of the direction's frame
-            events.append(("trial", point.h.copy(), point.t))
+            events.append(("trial", point.t))
             return cost(point, p)
 
+        monkeypatch.setattr(optimizer, "geodesic_frame", framing)
         monkeypatch.setattr(optimizer, "cost", recording)
         p = two_class_problem(sigma=0.2, seed=5)
         opts = OptimOptions(max_iter=30, rel_cost_tol=0.0, grad_norm_tol=0.0)
         _, trace = minimize(
             p, opts=opts, callback=lambda it, w, rg: events.append(("report", rg.h))
         )
-        firsts, slopes, rg = [], [], None
-        for kind, *rest in events:
+        firsts, slopes, rg, h = [], [], None, None
+        for kind, value in events:
             if kind == "report":
-                rg, fresh = rest[0], True
+                rg, fresh = value, True
+            elif kind == "direction":
+                h = value
             elif fresh:
-                h, t = rest
-                firsts.append(t)
+                firsts.append(value)
                 slopes.append(float(np.sum(rg * h)))
                 fresh = False
         steps = [rec.step for rec in trace.records if rec.step > 0]
