@@ -5,6 +5,11 @@ different-label samples (under a caller-supplied dissimilarity matrix) are
 marked; an edge is set when either endpoint selects the other. The combined
 graph g = g_within - g_between has entries in {-1, 0, +1} because the two
 graphs live on disjoint pairs.
+
+Selection runs per class, not per sample: one stable argsort of the class's
+off-diagonal distance submatrix picks every member's within-class
+neighbours, one of its rows against all other samples the between-class
+ones, and the edges are written by fancy indexing.
 """
 
 from __future__ import annotations
@@ -63,10 +68,17 @@ def default_kw(labels) -> int:
     return min(_class_sizes(labels).values()) - 1
 
 
-def _nearest(dist_row: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
-    # stable ordering: ascending distance, then ascending sample index
-    order = np.lexsort((candidates, dist_row[candidates]))
-    return candidates[order[:k]]
+def _link(g, rows, candidates, dist, k: int, sign: int) -> None:
+    """Join each rows[r] to its k nearest candidates[r], both ways.
+
+    candidates[r] lists row r's candidates in ascending index order and
+    dist[r] their distances, so the stable sort breaks ties toward the lower
+    index.
+    """
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    near = np.take_along_axis(candidates, order, axis=1)
+    rows = np.broadcast_to(rows[:, None], near.shape)
+    g[rows, near] = g[near, rows] = sign
 
 
 def build_affinity(labels, dist: np.ndarray, kw: int, kb: int) -> AffinityGraph:
@@ -101,13 +113,16 @@ def build_affinity(labels, dist: np.ndarray, kw: int, kb: int) -> AffinityGraph:
     # selection simply takes what exists
 
     lab_arr = np.asarray(labels, dtype=object)
-    g = np.zeros((n, n), dtype=np.int64)
-    idx = np.arange(n)
-    for i in range(n):
-        same = idx[(lab_arr == lab_arr[i]) & (idx != i)]
-        other = idx[lab_arr != lab_arr[i]]
-        for j in _nearest(dist[i], same, kw):
-            g[i, j] = g[j, i] = 1
-        for j in _nearest(dist[i], other, kb):
-            g[i, j] = g[j, i] = -1
+    g = np.zeros((n, n), dtype=np.int8)  # AffinityGraph stores it as int64
+    for label in sizes:
+        in_class = lab_arr == label
+        members, others = np.flatnonzero(in_class), np.flatnonzero(~in_class)
+        m = len(members)
+        # the class's distance submatrix without its diagonal
+        off = ~np.eye(m, dtype=bool)
+        same = np.broadcast_to(members, (m, m))[off].reshape(m, m - 1)
+        within = dist[np.ix_(members, members)][off].reshape(m, m - 1)
+        _link(g, members, same, within, kw, 1)
+        between = dist[np.ix_(members, others)]
+        _link(g, members, np.broadcast_to(others, between.shape), between, kb, -1)
     return AffinityGraph(g, kw=kw, kb=kb)

@@ -16,6 +16,7 @@ projection work on plain D x d arrays, the optimizer's working state.
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,14 +76,22 @@ class GrassmannPoint:
         return self.basis.shape[1]
 
 
+# the stacks stack_bases has returned, by id: read-only with read-only
+# owners, so each stays valid for as long as it lives
+_checked = weakref.WeakValueDictionary()
+
+
 def stack_bases(points) -> np.ndarray:
     """Equal-shape orthonormal bases as one validated, read-only (N, D, n) array.
 
     Takes an (N, D, n) array, copied unless it and its owners are already
     read-only, or a sequence of GrassmannPoints; an empty sequence gives a
     (0, 0, 0) array. Every basis needs 1 <= n < D and ||B^T B - I||_F within
-    ORTHONORMAL_TOL_POINT, checked for the whole stack at once.
+    ORTHONORMAL_TOL_POINT, checked for the whole stack at once. A stack this
+    function returned before is returned as it is, without a second check.
     """
+    if _checked.get(id(points)) is points:
+        return points
     if not isinstance(points, np.ndarray):
         bases = [p.basis for p in points]
         if len({b.shape for b in bases}) > 1:
@@ -101,6 +110,7 @@ def stack_bases(points) -> np.ndarray:
             f"basis {bad[0]} of {count} not orthonormal: "
             f"||B^T B - I||_F = {errors[bad[0]]:.3e}"
         )
+    _checked[id(bases)] = bases
     return bases
 
 

@@ -37,7 +37,8 @@ from .manifold import GrassmannPoint, RANK_RTOL
 
 DET_TOL = 1e-12
 
-# objective's pair chunks and pipeline's row blocks take about this many bytes
+# objective's pair chunks take about this many bytes, pipeline's row blocks of
+# products four times as many
 PAIR_BLOCK_BYTES = 1 << 18
 
 # guarded roundoff events, keyed by guard name; inspect via health_counters()
@@ -177,15 +178,26 @@ _TABLE = {
 }
 
 
-def _invariant(kind: MeasureKind, a: np.ndarray) -> np.ndarray:
+def _invariant(kind: MeasureKind, a: np.ndarray, axes=(-2, -1)) -> np.ndarray:
+    """||A||_F^2 or |det A| of each n x n matrix A whose rows and columns run
+    along ``axes`` of a (given as nonnegative indices unless the default)."""
     if kind.value in _FROBENIUS:
-        return np.sum(a * a, axis=(-2, -1))
-    return np.abs(np.linalg.det(a))
+        if axes == (-2, -1):
+            return np.sum(a * a, axis=axes)
+        # in a's own layout, and without a squared copy of a
+        every = list(range(a.ndim))
+        return np.einsum(a, every, a, every, [i for i in every if i not in axes])
+    return np.abs(np.linalg.det(np.moveaxis(a, axes, (-2, -1))))
 
 
-def pair_measures(kind: MeasureKind, a: np.ndarray) -> np.ndarray:
-    """``measure`` of every product A = Q1^T Q2 in a stack (..., n, n)."""
-    return _TABLE[kind.value][0](_invariant(kind, a), a.shape[-1])
+def pair_measures(kind: MeasureKind, a: np.ndarray, axes=(-2, -1)) -> np.ndarray:
+    """``measure`` of every product A = Q1^T Q2 in a stack (..., n, n).
+
+    With ``axes``, A's rows and columns run along those two axes of a, as in
+    a GEMM block (k, n, M, n) with axes (1, 3); the result has a's other
+    axes, (k, M) there.
+    """
+    return _TABLE[kind.value][0](_invariant(kind, a, axes), a.shape[axes[1]])
 
 
 def pair_measure_grads(kind: MeasureKind, a: np.ndarray):

@@ -185,19 +185,26 @@ def build_subspace(features: np.ndarray, order: int) -> GrassmannPoint:
 def _measure_blocks(kind: MeasureKind, left, right, upper: bool = False):
     """Yield (a, b, values[k, m] = measure(left[a + k], right[m])) by row block.
 
-    With ``upper`` (left is right) the columns start at a: only pairs on or
-    above the diagonal. A block's bases and products take about
-    PAIR_BLOCK_BYTES each.
+    ``right`` is copied once into a (D, M n) matrix, so a block's products
+    are one GEMM, ((b - a) n x D)(D x M n), laid out as (b - a, n, M, n) and
+    reduced in that layout. With ``upper`` (left is right) the rows are read
+    from that copy and the columns start at a: only pairs on or above the
+    diagonal. A block's rows and its products take about 4 PAIR_BLOCK_BYTES
+    each.
     """
     count, ambient, order = left.shape
-    row_bytes = 8 * order * max(ambient, len(right) * order)
-    step = max(1, PAIR_BLOCK_BYTES // row_bytes)
+    cols = right.transpose(1, 0, 2).reshape(ambient, len(right) * order)
+    step = max(1, 4 * PAIR_BLOCK_BYTES // (8 * order * max(ambient, cols.shape[1])))
     for a in range(0, count, step):
         b = min(a + step, count)
-        cols = right[a:] if upper else right
-        rows = left[a:b].mT.reshape((b - a) * order, ambient)
-        prods = (rows @ cols).reshape(len(cols), b - a, order, order)
-        yield a, b, pair_measures(kind, prods).T
+        if upper:
+            start, rows = a, cols[:, a * order : b * order].T
+        else:
+            start, rows = 0, left[a:b].mT.reshape((b - a) * order, ambient)
+        prods = rows @ cols[:, start * order :]
+        values = pair_measures(kind, prods.reshape(b - a, order, -1, order), axes=(1, 3))
+        del rows, prods  # neither lives on into the next block's GEMM
+        yield a, b, values
 
 
 def _bases(samples) -> np.ndarray:
@@ -220,12 +227,16 @@ def pairwise_dissimilarity(samples, kind: MeasureKind) -> np.ndarray:
     out = np.zeros((len(bases), len(bases)))
     if not len(bases):
         return out
+    flip = kind.orientation is Orientation.SIMILARITY_LIKE
     for a, b, values in _measure_blocks(kind, bases, bases, upper=True):
+        if flip:
+            values = 1.0 - values
+        # keep the pairs above the diagonal, then mirror them into the
+        # still-zero columns a:b below it
+        values[np.tril_indices(b - a, 0, values.shape[1])] = 0.0
         out[a:b, a:] = values
-    if kind.orientation is Orientation.SIMILARITY_LIKE:
-        out = 1.0 - out
-    out = np.triu(out, 1)
-    return out + out.T
+        out[a:, a:b] += values.T
+    return out
 
 
 def _nn_predict(train: LabeledDataset, test_samples, kind: MeasureKind):

@@ -139,3 +139,29 @@ def parallel_transport_svd(
     moved = x - u @ ut_x + (-(w @ vt.T) * np.sin(s * t) + u * np.cos(s * t)) @ ut_x
     w1 = geodesic_step_svd(w, h, t)
     return moved - w1 @ (w1.T @ moved)
+
+
+def build_affinity_rows(labels, dist: np.ndarray, kw: int, kb: int) -> np.ndarray:
+    """The signed neighbour graph, built row by row with two lexsorts per row.
+
+    The reference for ``build_affinity``, which sorts once per class: for
+    each sample, its kw nearest same-label and kb nearest other-label
+    samples by (distance, index), each edge set both ways. No input checks.
+    """
+
+    def nearest(row, candidates, k):
+        order = np.lexsort((candidates, row[candidates]))
+        return candidates[order[:k]]
+
+    lab_arr = np.asarray(list(labels), dtype=object)
+    n = len(lab_arr)
+    g = np.zeros((n, n), dtype=np.int64)
+    idx = np.arange(n)
+    for i in range(n):
+        same = idx[(lab_arr == lab_arr[i]) & (idx != i)]
+        other = idx[lab_arr != lab_arr[i]]
+        for j in nearest(dist[i], same, kw):
+            g[i, j] = g[j, i] = 1
+        for j in nearest(dist[i], other, kb):
+            g[i, j] = g[j, i] = -1
+    return g

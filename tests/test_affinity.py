@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from ggdr.affinity import AffinityGraph, build_affinity, default_kw
 from ggdr.errors import DegenerateClass, DimensionMismatch, InvalidK, InvalidShape
 
+from oracles import build_affinity_rows
+
 
 def dist_from_coords(coords):
     coords = np.asarray(coords, dtype=float)
@@ -101,6 +103,29 @@ class TestBuildAffinity:
         assert (np.diag(g.g) == 0).all()
         same = lab[:, None] == lab[None, :]
         assert (g.g[~same] <= 0).all() and (g.g[same] >= 0).all()
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_row_by_row_oracle(self, data):
+        # one sort per class must give the graph of two lexsorts per row,
+        # bit for bit: tied integer distances, interleaved classes, string,
+        # int and mixed labels, and a single class (kb above the 0 cross-class
+        # candidates)
+        names = data.draw(
+            st.sampled_from([["a", "b", "c", "d"], [3, 1, 2, 0], ["x", 7, "y", 0]])
+        )
+        sizes = data.draw(st.lists(st.integers(2, 6), min_size=1, max_size=4))
+        labels = [names[c] for c, size in enumerate(sizes) for _ in range(size)]
+        labels = data.draw(st.permutations(labels))
+        n = len(labels)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        upper = np.triu(rng.integers(0, data.draw(st.integers(1, 4)), (n, n)), 1)
+        dist = (upper + upper.T).astype(float)
+        kw = data.draw(st.integers(1, min(sizes) - 1))
+        kb = data.draw(st.integers(1, kw))
+        g = build_affinity(labels, dist, kw=kw, kb=kb)
+        assert g.g.dtype == np.int64
+        assert np.array_equal(g.g, build_affinity_rows(labels, dist, kw, kb))
 
     def test_monotonicity_in_k(self, rng):
         labels = ["a"] * 4 + ["b"] * 4 + ["c"] * 4

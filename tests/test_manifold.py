@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from ggdr import manifold
 from ggdr.errors import DimensionMismatch, InvalidShape, RankDeficient
 from ggdr.manifold import (
     RANK_RTOL,
@@ -246,6 +247,25 @@ class TestStackBases:
         assert stack_bases(stack[1:3]).base is stack
         points = [GrassmannPoint(b) for b in stack]
         assert_allclose(stack_bases(points), stack, atol=0)
+
+    def test_returned_stack_is_not_checked_again(self, rng, monkeypatch):
+        # a stack stack_bases returned is read-only down to its owner, so it
+        # comes back as it is; a view of it or an equal read-only array is
+        # a different object and is checked
+        calls = []
+        gram_error = manifold.gram_error
+        monkeypatch.setattr(
+            manifold, "gram_error", lambda b: (calls.append(1), gram_error(b))[1]
+        )
+        bases, _ = orthonormalize(rng.standard_normal((4, 6, 2)))
+        stack = stack_bases(bases)
+        assert len(calls) == 1
+        assert stack_bases(stack) is stack and len(calls) == 1
+        stack_bases(stack[1:3])
+        frozen = bases.copy()
+        frozen.setflags(write=False)
+        assert stack_bases(frozen) is frozen and len(calls) == 3
+        assert stack_bases(frozen) is frozen and len(calls) == 3
 
     def test_writeable_input_is_copied(self, rng):
         bases, _ = orthonormalize(rng.standard_normal((3, 6, 2)))

@@ -17,6 +17,7 @@ from ggdr.metrics import (
     health_counters,
     measure,
     measure_grad,
+    pair_measures,
     qr_pullback,
     qr_pullback_inverse,
     reset_health_counters,
@@ -114,6 +115,22 @@ class TestMeasureValues:
                 assert measure(kind, r1, r2) == pytest.approx(
                     measure(kind, q1, q2), abs=1e-9
                 )
+
+    def test_gemm_block_layout(self, rng):
+        # products of 3 bases against 4 as one GEMM, laid out (3, n, 4, n):
+        # reduced in place over axes 1 and 3 they give the per-pair measures
+        left, _ = orthonormalize(rng.standard_normal((3, 9, 3)))
+        right, _ = orthonormalize(rng.standard_normal((4, 9, 3)))
+        block = left.mT.reshape(9, 9) @ right.transpose(1, 0, 2).reshape(9, 12)
+        block = block.reshape(3, 3, 4, 3)
+        for kind in ALL_KINDS:
+            values = pair_measures(kind, block, axes=(1, 3))
+            assert values.shape == (3, 4)
+            for i in range(3):
+                for j in range(4):
+                    assert values[i, j] == pytest.approx(
+                        measure(kind, left[i], right[j]), rel=0, abs=4e-15
+                    )
 
 
 class TestMeasureGrad:

@@ -93,8 +93,9 @@ class TestLabeledDataset:
 
     def test_fit_and_evaluate_check_each_stack_once(self, monkeypatch):
         # a LabeledDataset is checked where it is built; fit and evaluate do
-        # not check its bases again. Left per fit: Problem and the result
-        # map; per evaluate: the two reduced datasets (3 each before)
+        # not check its bases again, nor does the Problem that fit builds on
+        # them. Left per fit: the result map; per evaluate: the two reduced
+        # datasets
         calls = []
         gram_error = manifold.gram_error
         monkeypatch.setattr(
@@ -104,7 +105,7 @@ class TestLabeledDataset:
         train, test = ds.subset(range(0, 12, 2)), ds.subset(range(1, 12, 2))
         calls.clear()
         w, _, _ = fit(train, MeasureKind.PROJECTION_SQ, 4, opts=OptimOptions(max_iter=3))
-        assert len(calls) == 2
+        assert len(calls) == 1
         calls.clear()
         evaluate(train, test, MeasureKind.PROJECTION_SQ, w)
         assert len(calls) == 2
@@ -331,34 +332,51 @@ class TestPairwiseDissimilarity:
 
 
 class TestBlockwisePairTable:
-    # 10 training samples on G(2, 7): row blocks of 3 leave a short last block
+    # 10 training samples on G(2, 7), blocks sized for 3 rows: row blocks of
+    # 3, 3, 3 and 1, so the last GEMM block has one row
     @pytest.fixture(autouse=True)
-    def blocks_of_three(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "PAIR_BLOCK_BYTES", 3 * 8 * 2 * (10 * 2))
+    def block_spans(self, monkeypatch):
+        # a block takes 4 PAIR_BLOCK_BYTES; a row of it 8 n max(D, M n) bytes
+        monkeypatch.setattr(pipeline, "PAIR_BLOCK_BYTES", 3 * 8 * 2 * (10 * 2) // 4)
+        spans = []
+        blocks = pipeline._measure_blocks
 
-    def test_pairwise_matches_per_pair_measure(self):
+        def recorded(*args, **kwargs):
+            for a, b, values in blocks(*args, **kwargs):
+                spans.append((a, b))
+                yield a, b, values
+
+        monkeypatch.setattr(pipeline, "_measure_blocks", recorded)
+        return spans
+
+    def test_pairwise_matches_per_pair_measure(self, block_spans):
         ds = tiny_dataset(seed=12, classes=2, per=5, d_ambient=7)
         for kind in ALL_KINDS:
+            block_spans.clear()
             d = pairwise_dissimilarity(ds.bases, kind)
+            assert block_spans == [(0, 3), (3, 6), (6, 9), (9, 10)]
             assert (d == d.T).all() and (np.diag(d) == 0).all()
             for i in range(ds.size):
                 for j in range(i + 1, ds.size):
                     v = measure(kind, ds.samples[i], ds.samples[j])
                     if kind is MeasureKind.BINET_CAUCHY_KERNEL:
                         v = 1.0 - v
-                    assert d[i, j] == pytest.approx(v, rel=1e-12, abs=1e-12)
+                    assert d[i, j] == pytest.approx(v, rel=0, abs=4e-15)
 
-    def test_nn_matches_per_pair_measure(self, rng):
+    def test_nn_matches_per_pair_measure(self, rng, block_spans):
         ds = tiny_dataset(seed=13, classes=2, per=5, d_ambient=7)
         test = [random_point(7, 2, int(rng.integers(2**31))) for _ in range(7)]
         for kind in ALL_KINDS:
+            block_spans.clear()
             labels, indices, values = pipeline._nn_predict(ds, test, kind)
+            assert block_spans == [(0, 3), (3, 6), (6, 7)]
+            assert nn_classify(ds, test, kind) == labels
             for t, label, index, value in zip(test, labels, indices, values):
                 vals = [measure(kind, t, x) for x in ds.samples]
                 similarity = kind is MeasureKind.BINET_CAUCHY_KERNEL
                 best = int(np.argmax(vals) if similarity else np.argmin(vals))
                 assert index == best and label == ds.labels[index]
-                assert value == pytest.approx(vals[index], rel=1e-12, abs=1e-12)
+                assert value == pytest.approx(vals[index], rel=0, abs=4e-15)
 
     def test_no_samples(self):
         ds = tiny_dataset(seed=14)
@@ -377,6 +395,28 @@ class TestBlockwisePairTable:
         probe = GrassmannPoint((e[:, [1]] + e[:, [3]]) / np.sqrt(2.0))
         for kind in ALL_KINDS:
             assert pipeline._nn_predict(train, [probe], kind)[:2] == (["b"], [1])
+
+    def test_nn_ties_go_to_lowest_index_in_every_block(self, monkeypatch, block_spans):
+        # training sample k spans axes 2k and 2k+1; probe k lies halfway
+        # between samples k and k+1 (probe 4 between 0 and 4), an exact tie
+        # in every measure; the 5 probes run in blocks of 2, 2 and 1
+        monkeypatch.setattr(pipeline, "PAIR_BLOCK_BYTES", 2 * 8 * 2 * 12 // 4)
+        e = np.eye(12)
+        train = LabeledDataset(
+            np.stack([e[:, 2 * k : 2 * k + 2] for k in range(5)]),
+            tuple("abcde"),
+            tuple("01234"),
+        )
+        pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
+        probes = np.stack(
+            [(train.bases[i] + train.bases[j]) / np.sqrt(2.0) for i, j in pairs]
+        )
+        for kind in ALL_KINDS:
+            block_spans.clear()
+            _, indices, _ = pipeline._nn_predict(train, probes, kind)
+            assert block_spans == [(0, 2), (2, 4), (4, 5)]
+            assert indices == [0, 1, 2, 3, 0]
+            assert nn_classify(train, probes, kind) == list("abcda")
 
 
 class TestGridSearch:
