@@ -190,14 +190,8 @@ def cmd_eval(args) -> int:
     metric = _metric(args.metric)
     train = load_dataset(args.train, order=args.order)
     test = load_dataset(args.test, order=args.order)
-    w = None
     if args.model:
         w = load_mapping(args.model)
-        if w.ambient_dim != train.ambient_dim:
-            raise ValidationError(
-                f"model ambient dim {w.ambient_dim} != dataset {train.ambient_dim}"
-            )
-    if w is not None:
         train, test = _reduce_dataset(train, w), _reduce_dataset(test, w)
     # one nearest-neighbor pass gives both the accuracy and the predictions
     labels, _, values = _nn_predict(train, test, metric)

@@ -12,6 +12,11 @@ product A = Q1^T Q2 whose singular values are the principal-angle cosines:
 The first four shrink to 0 as subspaces coincide; the kernel grows to 1, so
 it carries a similarity orientation that callers must account for.
 
+Each measure is defined once, in ``_TABLE``, as a function of ||A||_F^2 or
+|det A|, and runs on stacks of products in ``pair_measures`` and
+``pair_measure_grads``. ``measure`` and ``measure_grad`` are their one-pair
+case; ``tests/oracles.py`` holds the independent closed forms.
+
 Gradients are taken with respect to the orthonormal representatives and
 pulled back through the positive-diagonal QR factorization to the mapped
 (pre-normalization) matrices, then to the map itself. Everything works on
@@ -21,19 +26,13 @@ n x n or d x n blocks; D x D projectors are never formed.
 from __future__ import annotations
 
 import enum
-import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NotSquare,
-    SingularPair,
-    SingularR,
-)
-from .manifold import GrassmannPoint, RANK_RTOL
+from .errors import DimensionMismatch, NotSquare, SingularPair, SingularR
+from .manifold import RANK_RTOL
 
 DET_TOL = 1e-12
 
@@ -82,89 +81,44 @@ class PairGradient:
     g2: np.ndarray
 
 
-def _as_basis(x) -> np.ndarray:
-    if isinstance(x, GrassmannPoint):
-        return x.basis
-    return np.asarray(x, dtype=np.float64)
-
-
 def _product(q1, q2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    b1, b2 = _as_basis(q1), _as_basis(q2)
+    # a GrassmannPoint's basis, or the array itself
+    b1, b2 = (np.asarray(getattr(q, "basis", q), np.float64) for q in (q1, q2))
     if b1.shape != b2.shape:
         raise DimensionMismatch(f"shapes differ: {b1.shape} vs {b2.shape}")
     return b1.T @ b2, b1, b2
 
 
 def measure(kind: MeasureKind, q1, q2) -> float:
-    """Evaluate one measure between two equal-shape subspace bases."""
-    a, _, _ = _product(q1, q2)
-    n = a.shape[0]
-    if kind is MeasureKind.PROJECTION_SQ:
-        return max(0.0, n - float(np.sum(a * a)))
-    if kind is MeasureKind.PROJECTION_KERNEL_DIST_SQ:
-        return max(0.0, 2.0 * n - 2.0 * float(np.sum(a * a)))
-    absdet = abs(float(np.linalg.det(a)))
-    if kind is MeasureKind.FUBINI_STUDY:
-        return float(np.arccos(min(1.0, max(0.0, absdet))))
-    if kind is MeasureKind.BINET_CAUCHY_DIST_SQ:
-        return max(0.0, 2.0 - 2.0 * absdet)
-    if kind is MeasureKind.BINET_CAUCHY_KERNEL:
-        return min(1.0, max(0.0, absdet * absdet))
-    raise ValueError(f"unknown measure kind: {kind!r}")
+    """Evaluate one measure between two equal-shape subspace bases.
+
+    The one-pair case of ``pair_measures``. A basis holding NaN or +-inf
+    gives NaN, not a clamped value that would read as a perfect match.
+    """
+    return float(pair_measures(kind, _product(q1, q2)[0][None])[0])
 
 
 def measure_grad(kind: MeasureKind, q1, q2) -> PairGradient:
     """Analytic gradient of ``measure`` w.r.t. both orthonormal arguments.
 
-    The determinant-based measures require A = Q1^T Q2 invertible and raise
-    SingularPair otherwise; the Fubini-Study coefficient is clamped away from
-    |det A| = 1 (coincident subspaces), counted under
-    ``fubini_study_grad_clamped``.
+    The one-pair case of ``pair_measure_grads``: raises SingularPair where
+    that masks the pair (a determinant-based measure with |det A| below
+    DET_TOL or not finite); its Fubini-Study clamps are counted there.
     """
     a, b1, b2 = _product(q1, q2)
-
+    _, da, ok = pair_measure_grads(kind, a[None])
+    if not ok[0]:
+        raise SingularPair(f"|det(Q1^T Q2)| below {DET_TOL:.0e} or not finite")
+    g1, g2 = b2 @ da[0].T, b1 @ da[0]
     if kind is MeasureKind.PROJECTION_SQ:
-        g1 = 2.0 * (b1 - b2 @ (b2.T @ b1))
-        g2 = 2.0 * (b2 - b1 @ (b1.T @ b2))
-        return PairGradient(g1, g2)
-
-    if kind is MeasureKind.PROJECTION_KERNEL_DIST_SQ:
-        return PairGradient(-4.0 * (b2 @ (b2.T @ b1)), -4.0 * (b1 @ (b1.T @ b2)))
-
-    det = float(np.linalg.det(a))
-    if not math.isfinite(det) or abs(det) < DET_TOL:
-        raise SingularPair(
-            f"|det(Q1^T Q2)| = {abs(det):.3e} below {DET_TOL:.0e}; "
-            "subspace pair too close to orthogonal for this gradient"
-        )
-    inv = np.linalg.inv(a)
-    absdet_grad = abs(det) * inv.T  # d|det A| / dA
-
-    if kind is MeasureKind.FUBINI_STUDY:
-        c = abs(det)
-        if c > 1.0 - DET_TOL:
-            c = 1.0 - DET_TOL
-            _health["fubini_study_grad_clamped"] += 1
-        da = -absdet_grad / math.sqrt(1.0 - c * c)
-        return PairGradient(b2 @ da.T, b1 @ da)
-
-    if kind is MeasureKind.BINET_CAUCHY_DIST_SQ:
-        da = -2.0 * absdet_grad
-        return PairGradient(b2 @ da.T, b1 @ da)
-
-    if kind is MeasureKind.BINET_CAUCHY_KERNEL:
-        # det(A A^T) (A A^T)^{-1} assembled as M^T M with M = det(A) A^{-1},
-        # which stays bounded as the determinant shrinks
-        m = det * inv
-        sym = m.T @ m
-        sym = sym + sym.T
-        return PairGradient(b2 @ (b2.T @ b1) @ sym, b1 @ sym @ (b1.T @ b2))
-
-    raise ValueError(f"unknown measure kind: {kind!r}")
+        # off the manifold p extends as ||Q1 Q1^T - Q2 Q2^T||^2 / 2, whose
+        # gradient adds 2 Q: normal to the Grassmannian, dropped by the pullback
+        return PairGradient(g1 + 2.0 * b1, g2 + 2.0 * b2)
+    return PairGradient(g1, g2)
 
 
 # Every measure is f(s) for s = ||A||_F^2 (p, pk) or s = |det A| (fs, bc, bck)
-# of A = Q1^T Q2. Code -> (f(s, n), f'(s)), with the clamps of ``measure``.
+# of A = Q1^T Q2. Code -> (f(s, n), f'(s)), clamped to each measure's range.
 _FROBENIUS = ("p", "pk")
 _TABLE = {
     "p": (lambda s, n: np.maximum(0.0, n - s), lambda s: -1.0),
@@ -180,18 +134,22 @@ _TABLE = {
 
 def _invariant(kind: MeasureKind, a: np.ndarray, axes=(-2, -1)) -> np.ndarray:
     """||A||_F^2 or |det A| of each n x n matrix A whose rows and columns run
-    along ``axes`` of a (given as nonnegative indices unless the default)."""
-    if kind.value in _FROBENIUS:
-        if axes == (-2, -1):
-            return np.sum(a * a, axis=axes)
-        # in a's own layout, and without a squared copy of a
+    along ``axes`` of a (given as nonnegative indices unless the default).
+
+    An infinite invariant is returned as NaN, which every clamp passes on.
+    """
+    if kind.value not in _FROBENIUS:
+        s = np.abs(np.linalg.det(np.moveaxis(a, axes, (-2, -1))))
+    elif axes == (-2, -1):
+        s = np.sum(a * a, axis=axes)
+    else:  # in a's own layout, and without a squared copy of a
         every = list(range(a.ndim))
-        return np.einsum(a, every, a, every, [i for i in every if i not in axes])
-    return np.abs(np.linalg.det(np.moveaxis(a, axes, (-2, -1))))
+        s = np.einsum(a, every, a, every, [i for i in every if i not in axes])
+    return np.where(s == np.inf, np.nan, s)
 
 
 def pair_measures(kind: MeasureKind, a: np.ndarray, axes=(-2, -1)) -> np.ndarray:
-    """``measure`` of every product A = Q1^T Q2 in a stack (..., n, n).
+    """The measure of every product A = Q1^T Q2 in a stack (..., n, n).
 
     With ``axes``, A's rows and columns run along those two axes of a, as in
     a GEMM block (k, n, M, n) with axes (1, 3); the result has a's other
@@ -204,9 +162,10 @@ def pair_measure_grads(kind: MeasureKind, a: np.ndarray):
     """Measures, gradients dL/dA, and a mask of the pairs that have one.
 
     For a stack of products A = Q1^T Q2 (P, n, n); dL/dQ1 = Q2 dA^T and
-    dL/dQ2 = Q1 dA. As in ``measure_grad``, a pair with |det A| below
-    DET_TOL (or not finite) has no determinant-based gradient: its mask
-    entry is False and its dA zero; Fubini-Study clamps are counted.
+    dL/dQ2 = Q1 dA. A pair with |det A| below DET_TOL (or not finite) has no
+    determinant-based gradient: its mask entry is False and its dA zero.
+    The Fubini-Study slope is clamped away from |det A| = 1 (coincident
+    subspaces), counted under ``fubini_study_grad_clamped``.
     """
     value, slope = _TABLE[kind.value]
     s = _invariant(kind, a)

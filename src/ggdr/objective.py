@@ -40,8 +40,8 @@ from .manifold import (
     stack_bases,
 )
 
-# measure, measure_grad, qr_pullback: per-pair references, looked up here by
-# perfbench/tracer.py
+# measure, measure_grad, qr_pullback: not called here; kept as the lookup
+# sites of perfbench/tracer.py
 from .metrics import (  # noqa: F401
     PAIR_BLOCK_BYTES,
     MeasureKind,

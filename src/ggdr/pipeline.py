@@ -31,7 +31,7 @@ from .errors import (
 )
 from .manifold import GrassmannPoint, MappingMatrix, orthonormalize, stack_bases
 
-# measure, reduce_point: per-pair references, looked up here by perfbench/tracer.py
+# measure, reduce_point: not called here; kept as perfbench/tracer.py's lookup sites
 from .metrics import (  # noqa: F401
     PAIR_BLOCK_BYTES,
     MeasureKind,

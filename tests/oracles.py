@@ -28,6 +28,34 @@ def measure_ambient(kind: MeasureKind, y1: np.ndarray, y2: np.ndarray) -> float:
     raise ValueError(kind)
 
 
+def measure_grad_closed_form(kind: MeasureKind, y1: np.ndarray, y2: np.ndarray):
+    """Gradients of ``measure_ambient`` w.r.t. y1 and y2, as (g1, g2).
+
+    p and pk differentiate the projector forms ||P1 - P2||_F^2 / 2 and
+    2n - 2 tr(P1 P2), P = Y Y^T. The determinant measures chain their scalar
+    f(|det A|), A = Y1^T Y2, with the SVD adjugate: for A = U diag(sigma) V^T,
+    d|det A|/dA = U diag(prod_{j != i} sigma_j) V^T, defined at det A = 0 too.
+    """
+    p1, p2 = y1 @ y1.T, y2 @ y2.T
+    if kind is MeasureKind.PROJECTION_SQ:
+        return 2.0 * (p1 - p2) @ y1, 2.0 * (p2 - p1) @ y2
+    if kind is MeasureKind.PROJECTION_KERNEL_DIST_SQ:
+        return -4.0 * p2 @ y1, -4.0 * p1 @ y2
+    u, sigma, vt = np.linalg.svd(y1.T @ y2)
+    others = [np.prod(np.delete(sigma, i)) for i in range(len(sigma))]
+    d_absdet = u @ np.diag(others) @ vt
+    absdet = float(np.prod(sigma))
+    if kind is MeasureKind.FUBINI_STUDY:
+        da = -d_absdet / np.sqrt(1.0 - absdet**2)
+    elif kind is MeasureKind.BINET_CAUCHY_DIST_SQ:
+        da = -2.0 * d_absdet
+    elif kind is MeasureKind.BINET_CAUCHY_KERNEL:
+        da = 2.0 * absdet * d_absdet
+    else:
+        raise ValueError(kind)
+    return y2 @ da.T, y1 @ da
+
+
 def fd_grad(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
     """Central finite differences over every entry of x."""
     out = np.zeros_like(x)

@@ -17,14 +17,26 @@ from ggdr.metrics import (
     health_counters,
     measure,
     measure_grad,
+    pair_measure_grads,
     pair_measures,
     qr_pullback,
     qr_pullback_inverse,
     reset_health_counters,
 )
-from oracles import fd_grad, measure_ambient, random_orthogonal, rel_error
+from oracles import (
+    fd_grad,
+    measure_ambient,
+    measure_grad_closed_form,
+    random_orthogonal,
+    rel_error,
+)
 
 ALL_KINDS = list(MeasureKind)
+DET_KINDS = [
+    MeasureKind.FUBINI_STUDY,
+    MeasureKind.BINET_CAUCHY_DIST_SQ,
+    MeasureKind.BINET_CAUCHY_KERNEL,
+]
 
 
 def rand_pair(d_ambient, order, seed):
@@ -80,6 +92,21 @@ class TestMeasureValues:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             measure(MeasureKind.PROJECTION_SQ, random_point(8, 2, 0), random_point(8, 3, 0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_non_finite_basis_gives_nan(self, kind, bad):
+        # a clamp must not turn a NaN or infinite product into a perfect
+        # match (0, or 1 for the kernel); the stacked table agrees
+        for order in (1, 2, 3):
+            q1, q2 = rand_pair(7, order, 4 + order)
+            raw = q1.basis.copy()
+            raw[2, 0] = bad
+            with np.errstate(invalid="ignore"):
+                stacked = pair_measures(kind, (raw.T @ q2.basis)[None])
+                assert np.isnan(measure(kind, raw, q2))
+                assert np.isnan(measure(kind, q2, raw))
+            assert stacked.shape == (1,) and np.isnan(stacked[0])
 
     @given(
         order=st.integers(min_value=1, max_value=5),
@@ -159,6 +186,22 @@ class TestMeasureGrad:
             worst = max(worst, rel_error(g.g1, fd1), rel_error(g.g2, fd2))
         assert worst <= 1e-5
 
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_matches_closed_form_oracle(self, kind, rng):
+        # projector and SVD-adjugate forms, on pairs with |det A| >= 1e-3
+        worst, checked = 0.0, 0
+        for d_ambient, order in [(5, 1), (8, 2), (9, 3), (7, 5)]:
+            for _ in range(15):
+                q1, q2 = rand_pair(d_ambient, order, int(rng.integers(2**31)))
+                if abs(np.linalg.det(q1.basis.T @ q2.basis)) < 1e-3:
+                    continue
+                g = measure_grad(kind, q1, q2)
+                o1, o2 = measure_grad_closed_form(kind, q1.basis, q2.basis)
+                worst = max(worst, rel_error(g.g1, o1), rel_error(g.g2, o2))
+                checked += 1
+        assert checked >= 40
+        assert worst <= 1e-12
+
     def test_singular_pair_for_determinant_kinds(self):
         e = np.eye(4)
         q1 = GrassmannPoint(e[:, [0, 1]])
@@ -178,6 +221,57 @@ class TestMeasureGrad:
         assert np.isfinite(g.g1).all() and np.isfinite(g.g2).all()
         assert health_counters()["fubini_study_grad_clamped"] >= 1
         reset_health_counters()
+
+
+class TestPairMeasureGrads:
+    @pytest.mark.parametrize("kind", DET_KINDS, ids=lambda k: k.value)
+    def test_one_stack(self, kind):
+        # well-conditioned, exactly singular (Q1 orthogonal to Q2), non-finite,
+        # and two coincident pairs, as one stack of products
+        e = np.eye(6)
+        good = rand_pair(6, 2, 17)
+        coincident = random_point(6, 2, 18)
+        pairs = [
+            (good[0].basis, good[1].basis),
+            (e[:, [0, 1]], e[:, [2, 3]]),
+            (e[:, [0, 1]], np.full((6, 2), np.nan)),
+            (coincident.basis, coincident.basis),
+            (coincident.basis, coincident.basis),
+        ]
+        q1 = np.stack([a for a, _ in pairs])
+        q2 = np.stack([b for _, b in pairs])
+        reset_health_counters()
+        with np.errstate(invalid="ignore"):
+            values, da, ok = pair_measure_grads(kind, q1.mT @ q2)
+        clamps = health_counters().get("fubini_study_grad_clamped", 0)
+        reset_health_counters()
+        assert ok.tolist() == [True, False, False, True, True]
+        assert values[0] == pytest.approx(
+            measure_ambient(kind, *pairs[0]), rel=1e-12
+        )
+        o1, o2 = measure_grad_closed_form(kind, *pairs[0])
+        assert rel_error(q2[0] @ da[0].T, o1) <= 1e-12
+        assert rel_error(q1[0] @ da[0], o2) <= 1e-12
+        assert not da[1].any() and not da[2].any()
+        assert np.isnan(values[2])
+        assert clamps == (2 if kind is MeasureKind.FUBINI_STUDY else 0)
+        assert np.isfinite(da[3:]).all()
+
+    def test_oracle_at_singular_product(self):
+        # at det A = 0 with rank n - 1 the SVD adjugate is the cofactor
+        # matrix up to sign, which is where the inverse-based form fails
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 3))
+        _, da = measure_grad_closed_form(
+            MeasureKind.BINET_CAUCHY_DIST_SQ, np.eye(3), a
+        )
+        cof = np.array([
+            [(-1) ** (i + j) * np.linalg.det(np.delete(np.delete(a, i, 0), j, 1))
+             for j in range(3)]
+            for i in range(3)
+        ])
+        assert np.abs(cof).max() > 0.1
+        assert min(rel_error(da, -2.0 * cof), rel_error(da, 2.0 * cof)) <= 1e-12
 
 
 class TestTriangularMasks:
