@@ -23,7 +23,6 @@ from .errors import (
     NumericalError,
     NumericalHealthWarning,
     RankDeficient,
-    SingularPair,
     SingularR,
     ValidationError,
 )

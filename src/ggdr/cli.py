@@ -48,6 +48,11 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 METRIC_CODES = {k.value: k for k in MeasureKind}
+# config spellings of a boolean, matched case-insensitively
+BOOLEANS = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
+}
 
 
 def _parse_config(path) -> dict:
@@ -75,7 +80,11 @@ def _resolve(args, key: str, cast, default):
     if key in config:
         raw = config[key]
         if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
+            if raw.lower() not in BOOLEANS:
+                raise ValidationError(
+                    f"config value {key}={raw!r}: expected one of {', '.join(BOOLEANS)}"
+                )
+            return BOOLEANS[raw.lower()]
         try:
             return cast(raw)
         except ValueError as exc:
@@ -244,7 +253,7 @@ def cmd_gradcheck(args) -> int:
         print(
             f"metric={kind.value} trials={rep.trials} "
             f"max_rel_error={rep.max_rel_error:.3e} failures={rep.failures} "
-            f"skipped={rep.skipped} clamped={rep.clamp_events}"
+            f"clamped={rep.clamp_events}"
         )
     print(f"overall max_rel_error={worst:.3e} failures={failures}")
     if failures:

@@ -58,9 +58,5 @@ class SingularR(NumericalError):
     pass
 
 
-class SingularPair(NumericalError):
-    pass
-
-
 class NumericalHealthWarning(UserWarning):
     """Emitted when a guarded roundoff condition is absorbed (not fatal)."""

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .affinity import AffinityGraph
-from .errors import DimensionMismatch, InvalidShape, SingularPair
+from .errors import DimensionMismatch, InvalidShape
 from .manifold import (
     GrassmannPoint,
     MappingMatrix,
@@ -53,10 +53,6 @@ from .metrics import (  # noqa: F401
     qr_pullback,
     qr_pullback_inverse,
 )
-
-# fail loudly when more than this fraction of weighted pairs is skipped
-MAX_SKIP_FRACTION = 0.01
-
 
 @dataclass(frozen=True, eq=False)
 class Problem:
@@ -227,15 +223,14 @@ def euclidean_grad(w, p: Problem) -> np.ndarray:
 
 
 def cost_and_grad(w, p: Problem) -> tuple[float, np.ndarray, int]:
-    """Cost, Euclidean gradient, and the number of skipped singular pairs.
+    """Cost, Euclidean gradient, and 0 skipped pairs.
 
     Takes w as ``cost`` does; the cost is bit-equal to ``cost(w, p)``.
-    Pairs whose measure gradient requires an inverse that does not exist
-    numerically are skipped (their cost contribution is kept). If more than
-    MAX_SKIP_FRACTION of the weighted pairs get skipped the evaluation
-    aborts, since the gradient would no longer represent the objective.
+    Every pair contributes to the gradient (see
+    ``metrics.pair_measure_grads``). The third item, always 0, stays because
+    perfbench/tracer.py reads it as each call's skipped-pair count.
     """
-    return _evaluate(w, p, with_grad=True)
+    return *_evaluate(w, p, with_grad=True), 0
 
 
 def _stack(w, p: Problem):
@@ -251,36 +246,28 @@ def _stack(w, p: Problem):
 
 
 def _evaluate(w, p: Problem, with_grad: bool):
-    """The cost, and with_grad the gradient and the skip count, at a map or
-    a frame point: one core from the stack M on."""
+    """The cost, and with_grad the gradient, at a map or a frame point: one
+    core from the stack M on."""
     m, vt = _stack(w, p)
     grad = np.zeros((p.ambient_dim, p.target_dim)) if with_grad else None
     if not len(p._weights):
-        return 0.0, grad, 0
+        return 0.0, grad
     q, _, r_inv = qr_with_inverse(m)
     dq = np.zeros_like(q) if with_grad else None
     total = 0.0
-    skipped = 0
     for c, i_side, j_side in p._chunks:
         weights = p._weights[c]
         qi, qj = q[p._pair_i[c]], q[p._pair_j[c]]
         if not with_grad:
             total += float(weights @ pair_measures(p.kind, qi.mT @ qj))
             continue
-        values, da, ok = pair_measure_grads(p.kind, qi.mT @ qj)
+        values, da = pair_measure_grads(p.kind, qi.mT @ qj)
         total += float(weights @ values)
-        skipped += len(ok) - int(np.count_nonzero(ok))
         da *= weights[:, None, None]
         _scatter_add(dq, qj @ da.mT, i_side)
         _scatter_add(dq, qi @ da, j_side)
     if not with_grad:
-        return p.pair_sign * total, None, 0
-
-    if skipped > MAX_SKIP_FRACTION * len(p._weights):
-        raise SingularPair(
-            f"{skipped} of {len(p._weights)} weighted pairs skipped as singular; "
-            "gradient would not represent the objective"
-        )
+        return p.pair_sign * total, None
 
     dm = qr_pullback_inverse(q, r_inv, p.pair_sign * dq)
     # sum X_i dM_i^T in blocks of samples: tensordot copies each block of
@@ -296,4 +283,4 @@ def _evaluate(w, p: Problem, with_grad: bool):
         )
     if vt is not None:
         grad = grad @ vt
-    return p.pair_sign * total, grad, skipped
+    return p.pair_sign * total, grad

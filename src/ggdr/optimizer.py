@@ -84,7 +84,8 @@ class TraceRecord:
     grad_norm: float
     step: float
     backtracks: int
-    skipped_pairs: int
+    # always 0, as every pair has a gradient; the trace CSV's pinned column
+    skipped_pairs: int = 0
 
 
 @dataclass
@@ -171,7 +172,7 @@ def minimize(
     if restart is None:
         restart = max(1, p.target_dim * (p.ambient_dim - p.target_dim))
 
-    c, eg, skipped = cost_and_grad(w, p)
+    c, eg, _ = cost_and_grad(w, p)
     rg = project_tangent(w, eg)
     rnorm = float(np.linalg.norm(rg))
     if callback is not None:
@@ -183,12 +184,12 @@ def minimize(
     it = 0
     while True:
         if rnorm <= opts.grad_norm_tol:
-            trace.records.append(TraceRecord(it, c, rnorm, 0.0, 0, skipped))
+            trace.records.append(TraceRecord(it, c, rnorm, 0.0, 0))
             trace.converged = True
             trace.reason = "grad_norm"
             break
         if it >= opts.max_iter:
-            trace.records.append(TraceRecord(it, c, rnorm, 0.0, 0, skipped))
+            trace.records.append(TraceRecord(it, c, rnorm, 0.0, 0))
             trace.reason = "max_iter"
             break
 
@@ -218,15 +219,15 @@ def minimize(
             alpha *= CONTRACTION
             backtracks += 1
         if not accepted:
-            trace.records.append(TraceRecord(it, c, rnorm, 0.0, backtracks, skipped))
+            trace.records.append(TraceRecord(it, c, rnorm, 0.0, backtracks))
             trace.line_search_failed = True
             trace.reason = "line_search_failed"
             break
 
-        trace.records.append(TraceRecord(it, c, rnorm, alpha, backtracks, skipped))
+        trace.records.append(TraceRecord(it, c, rnorm, alpha, backtracks))
         last_decrease = alpha * slope
 
-        c_new, eg_new, skipped_new = cost_and_grad(trial, p)
+        c_new, eg_new, _ = cost_and_grad(trial, p)
         w_new = geodesic_step(w, h, alpha, factor)
         rg_old_moved = parallel_transport(rg, w, h, alpha, factor, w_new)
         h_moved = parallel_transport(h, w, h, alpha, factor, w_new)
@@ -246,10 +247,10 @@ def minimize(
 
         cost_drop = abs(c - c_new)
         cost_scale = max(abs(c), abs(c_new), 1.0)
-        w, c, rg, rnorm, skipped = w_new, c_new, rg_new, rnorm_new, skipped_new
+        w, c, rg, rnorm = w_new, c_new, rg_new, rnorm_new
         it += 1
         if cost_drop <= opts.rel_cost_tol * cost_scale:
-            trace.records.append(TraceRecord(it, c, rnorm, 0.0, 0, skipped))
+            trace.records.append(TraceRecord(it, c, rnorm, 0.0, 0))
             trace.converged = True
             trace.reason = "rel_cost"
             break

@@ -27,7 +27,6 @@ from .errors import (
     InvalidShape,
     NumericalHealthWarning,
     RankDeficient,
-    SingularPair,
 )
 from .manifold import GrassmannPoint, MappingMatrix, orthonormalize, stack_bases
 
@@ -160,6 +159,8 @@ def build_subspace(features: np.ndarray, order: int) -> GrassmannPoint:
     if features.ndim != 2:
         raise InvalidShape(f"features must be 2-d, got {features.shape}")
     d_ambient, m = features.shape
+    if order < 1:
+        raise InvalidShape(f"order must be positive, got {order}")
     if m < order:
         raise InvalidShape(f"need at least {order} columns, got {m}")
     u, s, _ = np.linalg.svd(features, full_matrices=False)
@@ -457,8 +458,9 @@ class GradCheckReport:
     trials: int
     max_rel_error: float
     failures: int
-    skipped: int
     clamp_events: int
+    # always 0, as every trial has a gradient; the acceptance suite prints it
+    skipped: int = 0
 
     def ok(self) -> bool:
         return self.failures == 0
@@ -475,9 +477,7 @@ def gradient_check(
     """Compare the analytic map gradient with central finite differences.
 
     Each trial draws a random map and a random two-point problem, then probes
-    every entry of the map with step FD_STEP. Trials whose analytic gradient
-    hits a guarded singular configuration are skipped and counted, not
-    failed.
+    every entry of the map with step FD_STEP.
     """
     if min(trials, ambient_dim, target_dim, order) < 1 or seed < 0:
         raise InvalidShape(
@@ -489,17 +489,12 @@ def gradient_check(
     clamp_before = health_counters().get("fubini_study_grad_clamped", 0)
     max_err = 0.0
     failures = 0
-    skipped = 0
     for _ in range(trials):
         wq, _ = orthonormalize(rng.standard_normal((ambient_dim, target_dim)))
         x1, _ = orthonormalize(rng.standard_normal((ambient_dim, order)))
         x2, _ = orthonormalize(rng.standard_normal((ambient_dim, order)))
         problem = Problem(np.stack([x1, x2]), graph, kind, target_dim=target_dim)
-        try:
-            analytic = euclidean_grad(wq, problem)
-        except SingularPair:
-            skipped += 1
-            continue
+        analytic = euclidean_grad(wq, problem)
         fd = np.zeros_like(wq)
         for i in range(ambient_dim):
             for j in range(target_dim):
@@ -519,6 +514,5 @@ def gradient_check(
         trials=trials,
         max_rel_error=max_err,
         failures=failures,
-        skipped=skipped,
         clamp_events=clamp_after - clamp_before,
     )

@@ -54,3 +54,25 @@ def test_demo_round_has_no_failed_operation(tmp_path):
     rnd = workloads.run_round(demo, inputs, str(out_dir))
     assert setup.problems + rnd.problems == []
     assert (setup.failed, rnd.failed, len(rnd.fits)) == (0, 0, 15)
+
+
+def test_traced_demo_round_reads_no_skipped_pair(tmp_path):
+    # traced rounds note int(result[2]) of every cost_and_grad as its
+    # skipped pairs: the third item must stay, and read 0
+    workloads = _load("workloads")
+    demo = workloads.WORKLOADS["demo"]
+    workloads.generate(demo, 1, str(tmp_path))
+    inputs, setup = workloads.prepare(demo, str(tmp_path))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    tracer = TRACER.Tracer()
+    tracer.install()
+    try:
+        with tracer.root("bench.round"):
+            rnd = workloads.run_round(demo, inputs, str(out_dir))
+    finally:
+        tracer.uninstall()
+    assert setup.problems + rnd.problems == []
+    assert (setup.failed, rnd.failed, len(rnd.fits)) == (0, 0, 15)
+    spans = [s for s in tracer.spans if s.name == "objective.cost_and_grad"]
+    assert spans and all(s.note == {"skipped": 0} for s in spans)

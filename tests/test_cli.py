@@ -23,6 +23,20 @@ def dataset_dir(tmp_path):
     return out
 
 
+@pytest.fixture
+def raw_dataset_dir(tmp_path):
+    # two classes of three raw 10 x 4 feature matrices
+    out = tmp_path / "raw"
+    out.mkdir()
+    rng = np.random.default_rng(3)
+    rows = []
+    for k in range(6):
+        np.savetxt(out / f"f{k}.csv", rng.standard_normal((10, 4)), delimiter=",")
+        rows.append(f"s{k}\t{'AB'[k % 2]}\traw\tf{k}.csv\n")
+    (out / "manifest.tsv").write_text("".join(rows))
+    return out
+
+
 class TestSynth:
     def test_creates_manifest_and_samples(self, tmp_path):
         out = tmp_path / "ds"
@@ -132,6 +146,29 @@ class TestTrain:
             "--trace", tmp_path / "t.csv", "--config", cfg, "--max-iter", 2,
         ]) == 0
         assert "# max-iter=2" in (tmp_path / "t.csv").read_text()
+
+    @pytest.mark.parametrize(
+        "value, shown", [("TRUE", True), ("On", True), ("0", False), ("no", False)]
+    )
+    def test_config_boolean(self, tmp_path, dataset_dir, value, shown):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"literal-similarity = {value}\n")
+        assert run([
+            "train", "--data", dataset_dir, "--metric", "bck", "--dim", 4,
+            "--order", 2, "--out", tmp_path / "w.csv", "--max-iter", 1,
+            "--trace", tmp_path / "t.csv", "--config", cfg,
+        ]) == 0
+        assert f"# literal-similarity={shown}" in (tmp_path / "t.csv").read_text()
+
+    def test_config_boolean_misspelt(self, tmp_path, dataset_dir, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("literal-similarity = ture\n")
+        assert run([
+            "train", "--data", dataset_dir, "--metric", "bck", "--dim", 4,
+            "--order", 2, "--out", tmp_path / "w.csv", "--config", cfg,
+        ]) == 2
+        assert "literal-similarity='ture'" in capsys.readouterr().err
+        assert not (tmp_path / "w.csv").exists()
 
     @pytest.mark.parametrize("text", ["max-iter 3\n", None])
     def test_malformed_or_missing_config_exits_1(
@@ -265,6 +302,31 @@ class TestEval:
             "--metric", "p", "--model", w,
         ])
         assert code == 2
+
+
+class TestRawOrder:
+    @pytest.mark.parametrize("order", [0, -1, -3])
+    def test_nonpositive_order(self, tmp_path, raw_dataset_dir, capsys, order):
+        train = [
+            "train", "--data", raw_dataset_dir, "--metric", "p", "--dim", 4,
+            "--order", order, "--out", tmp_path / "w.csv",
+        ]
+        evaluate = [
+            "eval", "--train", raw_dataset_dir, "--test", raw_dataset_dir,
+            "--metric", "p", "--order", order,
+        ]
+        for args in (train, evaluate):
+            assert run(args) == 2
+            out = capsys.readouterr()
+            assert out.err == f"error: order must be positive, got {order}\n"
+            assert out.out == ""
+
+    def test_positive_order(self, raw_dataset_dir, capsys):
+        assert run([
+            "eval", "--train", raw_dataset_dir, "--test", raw_dataset_dir,
+            "--metric", "p", "--order", 2,
+        ]) == 0
+        assert "accuracy=1.0" in capsys.readouterr().out
 
 
 class TestNonUtf8Input:

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 from ggdr.errors import (
     DimensionMismatch,
     NotSquare,
-    SingularPair,
     SingularR,
 )
 from ggdr.manifold import GrassmannPoint, orthonormalize, qr_with_inverse, random_point
@@ -97,7 +96,8 @@ class TestMeasureValues:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_non_finite_basis_gives_nan(self, kind, bad):
         # a clamp must not turn a NaN or infinite product into a perfect
-        # match (0, or 1 for the kernel); the stacked table agrees
+        # match (0, or 1 for the kernel); the stacked table agrees, and every
+        # kind's gradient is NaN too, not a mask or an infinity
         for order in (1, 2, 3):
             q1, q2 = rand_pair(7, order, 4 + order)
             raw = q1.basis.copy()
@@ -106,7 +106,12 @@ class TestMeasureValues:
                 stacked = pair_measures(kind, (raw.T @ q2.basis)[None])
                 assert np.isnan(measure(kind, raw, q2))
                 assert np.isnan(measure(kind, q2, raw))
+                grads = [measure_grad(kind, raw, q2), measure_grad(kind, q2, raw)]
+                values, da = pair_measure_grads(kind, (raw.T @ q2.basis)[None])
             assert stacked.shape == (1,) and np.isnan(stacked[0])
+            assert np.isnan(values[0]) and np.isnan(da).all()
+            for g in grads:
+                assert np.isnan(g.g1).all() and np.isnan(g.g2).all()
 
     @given(
         order=st.integers(min_value=1, max_value=5),
@@ -203,16 +208,19 @@ class TestMeasureGrad:
         assert worst <= 1e-12
 
     def test_singular_pair_for_determinant_kinds(self):
+        # det(Q1^T Q2) = 0 exactly, at rank 0 and at rank n - 1: the
+        # gradient is finite (the subgradient 0 at the |det| kink) and the
+        # value is the stacked table's, bit for bit
         e = np.eye(4)
-        q1 = GrassmannPoint(e[:, [0, 1]])
-        q2 = GrassmannPoint(e[:, [2, 3]])  # det(Q1^T Q2) = 0
-        for kind in (
-            MeasureKind.FUBINI_STUDY,
-            MeasureKind.BINET_CAUCHY_DIST_SQ,
-            MeasureKind.BINET_CAUCHY_KERNEL,
-        ):
-            with pytest.raises(SingularPair):
-                measure_grad(kind, q1, q2)
+        for q2 in (e[:, [2, 3]], e[:, [0, 2]]):
+            a = e[:, [0, 1]].T @ q2
+            for kind in DET_KINDS:
+                g = measure_grad(kind, e[:, [0, 1]], q2)
+                values, da = pair_measure_grads(kind, a[None])
+                assert np.isfinite(g.g1).all() and np.isfinite(g.g2).all()
+                assert np.isfinite(da).all()
+                assert values[0] == pair_measures(kind, a[None])[0]
+                assert values[0] == measure_ambient(kind, e[:, [0, 1]], q2)
 
     def test_fubini_study_clamps_near_coincident(self):
         reset_health_counters()
@@ -242,20 +250,52 @@ class TestPairMeasureGrads:
         q2 = np.stack([b for _, b in pairs])
         reset_health_counters()
         with np.errstate(invalid="ignore"):
-            values, da, ok = pair_measure_grads(kind, q1.mT @ q2)
+            values, da = pair_measure_grads(kind, q1.mT @ q2)
         clamps = health_counters().get("fubini_study_grad_clamped", 0)
         reset_health_counters()
-        assert ok.tolist() == [True, False, False, True, True]
-        assert values[0] == pytest.approx(
-            measure_ambient(kind, *pairs[0]), rel=1e-12
-        )
+        for k in (0, 1):
+            assert values[k] == pytest.approx(
+                measure_ambient(kind, *pairs[k]), rel=1e-12
+            )
         o1, o2 = measure_grad_closed_form(kind, *pairs[0])
         assert rel_error(q2[0] @ da[0].T, o1) <= 1e-12
         assert rel_error(q1[0] @ da[0], o2) <= 1e-12
-        assert not da[1].any() and not da[2].any()
-        assert np.isnan(values[2])
+        # the singular pair has the oracle's gradient (0 at A = 0)
+        assert not da[1].any()
+        assert np.isnan(values[2]) and np.isnan(da[2]).all()
         assert clamps == (2 if kind is MeasureKind.FUBINI_STUDY else 0)
         assert np.isfinite(da[3:]).all()
+
+    @given(
+        order=st.integers(min_value=1, max_value=8),
+        log_det=st.floats(min_value=-12.0, max_value=-3.0),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_near_singular_products_match_the_svd_oracle(self, order, log_det, seed):
+        # A = U diag(sigma) V^T with |det A| = 10^log_det, either sign. bck's
+        # gradient 2 |det A| adj(A)^T carries |det A|'s own roundoff (about
+        # eps cond(A) relative, in the LU and the SVD alike), so it is held to
+        # 1e-12 of the size of adj(A) rather than of its own
+        rng = np.random.default_rng(seed)
+        sigma = rng.uniform(0.5, 1.0, order)
+        sigma[-1] = 10.0**log_det / np.prod(sigma[:-1])
+        u, v = random_orthogonal(order, rng), random_orthogonal(order, rng)
+        a = (u * sigma) @ v.T
+        # bc's gradient is -2 d|det A|/dA
+        bc = measure_grad_closed_form(
+            MeasureKind.BINET_CAUCHY_DIST_SQ, np.eye(order), a
+        )[1]
+        adj_norm = 0.5 * np.linalg.norm(bc)
+        for kind in DET_KINDS:
+            values, da = pair_measure_grads(kind, a[None])
+            _, oracle = measure_grad_closed_form(kind, np.eye(order), a)
+            assert values[0] == pair_measures(kind, a[None])[0]
+            if kind is MeasureKind.BINET_CAUCHY_KERNEL:
+                err = np.linalg.norm(da[0] - oracle) / adj_norm
+            else:
+                err = rel_error(da[0], oracle)
+            assert err <= 1e-12
 
     def test_oracle_at_singular_product(self):
         # at det A = 0 with rank n - 1 the SVD adjugate is the cofactor

@@ -4,7 +4,7 @@ import pytest
 from ggdr import optimizer
 from ggdr.affinity import AffinityGraph, build_affinity, default_kw
 from ggdr.errors import InvalidShape
-from ggdr.manifold import MappingMatrix, TangentVector, random_point
+from ggdr.manifold import MappingMatrix, TangentVector, orthonormalize, random_point
 from ggdr.metrics import MeasureKind
 from ggdr.objective import Problem
 from ggdr.optimizer import (
@@ -274,6 +274,19 @@ class TestLineSearch:
                 totals[kind.value] += trace.objective_evals
         for measure, ceiling in self.FIXED_START_EVALS.items():
             assert totals[measure] < ceiling, (measure, totals[measure])
+
+    def test_long_fit_through_singular_pairs(self):
+        # demo data as above, seed 3, fs: between-class pairs are driven to
+        # |det A| = 0, the minimum of their term, and the fit runs on
+        # through them with every pair's gradient
+        full = synth_dataset(demo_analog_params(within_noise=0.3, seed=3))
+        train = full.subset([i for i in range(full.size) if i % 10 < 5])
+        opts = OptimOptions(max_iter=160, rel_cost_tol=0.0)
+        w, trace, graph = fit(train, MeasureKind.FUBINI_STUDY, 12, opts=opts)
+        assert (trace.reason, trace.iterations) == ("max_iter", 160)
+        q, _ = orthonormalize(np.matmul(w.w.T, train.bases))
+        i, j = np.nonzero(np.triu(graph.g, 1))
+        assert np.abs(np.linalg.det(q[i].mT @ q[j])).min() < 1e-10
 
 
 class TestTrace:
