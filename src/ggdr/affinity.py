@@ -9,7 +9,9 @@ graphs live on disjoint pairs.
 Selection runs per class, not per sample: one stable argsort of the class's
 off-diagonal distance submatrix picks every member's within-class
 neighbours, one of its rows against all other samples the between-class
-ones, and the edges are written by fancy indexing.
+ones, and the edges are written by fancy indexing. k = 1 takes an argmin
+instead, and a k that covers every candidate (the default kw in a class of
+the smallest size) links them all without sorting.
 """
 
 from __future__ import annotations
@@ -72,11 +74,18 @@ def _link(g, rows, candidates, dist, k: int, sign: int) -> None:
     """Join each rows[r] to its k nearest candidates[r], both ways.
 
     candidates[r] lists row r's candidates in ascending index order and
-    dist[r] their distances, so the stable sort breaks ties toward the lower
-    index.
+    dist[r] their distances, so the stable sort (or argmin, its first
+    index) breaks ties toward the lower index. When k covers every
+    candidate, all are linked without a sort.
     """
-    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    near = np.take_along_axis(candidates, order, axis=1)
+    if k >= dist.shape[1]:
+        near = candidates
+    else:
+        if k == 1:
+            order = np.argmin(dist, axis=1, keepdims=True)
+        else:
+            order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        near = np.take_along_axis(candidates, order, axis=1)
     rows = np.broadcast_to(rows[:, None], near.shape)
     g[rows, near] = g[near, rows] = sign
 

@@ -123,6 +123,16 @@ def _optim_options(args) -> tuple[OptimOptions, dict]:
     return opts, shown
 
 
+def _load(directory, order: int | None):
+    """``load_dataset``, which must give a dataset of the order asked for."""
+    ds = load_dataset(directory, order=order)
+    if order is not None and ds.order != order:
+        raise ValidationError(
+            f"--order {order} does not match dataset order {ds.order}"
+        )
+    return ds
+
+
 def cmd_train(args) -> int:
     metric = _metric(args.metric)
     dim = args.dim
@@ -144,11 +154,7 @@ def cmd_train(args) -> int:
         raise ValidationError(f"--init must be identity or random, got {init!r}")
     opts, shown = _optim_options(args)
 
-    ds = load_dataset(args.data, order=order)
-    if order is not None and ds.order != order:
-        raise ValidationError(
-            f"--order {order} does not match dataset order {ds.order}"
-        )
+    ds = _load(args.data, order)
     if dim < ds.order or dim > ds.ambient_dim:
         raise ValidationError(
             f"--dim {dim} outside [{ds.order}, {ds.ambient_dim}] for this dataset"
@@ -197,8 +203,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     metric = _metric(args.metric)
-    train = load_dataset(args.train, order=args.order)
-    test = load_dataset(args.test, order=args.order)
+    train = _load(args.train, args.order)
+    test = _load(args.test, args.order)
     if args.model:
         w = load_mapping(args.model)
         train, test = _reduce_dataset(train, w), _reduce_dataset(test, w)

@@ -19,13 +19,15 @@ Along a geodesic the batched W^T X is not needed at all: a GeodesicFrame
 holds two d x n stacks per sample, projected once per search direction onto
 the columns of W V and h V from ``manifold.geodesic_factor`` (an eigh of the
 d x d Gram h^T h, no SVD of h), and a point of the geodesic reduces to
-scaling their rows (see GeodesicFrame).
-Maps and frame points share one evaluation core from the stack M on.
+scaling their rows (see GeodesicFrame). A frame point keeps its QR, so the
+accepted trial's ``cost_and_grad`` reuses the QR that its ``cost`` took; a
+map is reduced on every call. Both share one evaluation core from the QR on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -179,7 +181,9 @@ class GeodesicFrame:
     so QR(V M) = (V Q, R): the pair products, the rank test and the cost at
     w(t) are those of the stack M(t), and the gradient is
     (sum_i X_i dM_i^T) V^T. ``cost`` and ``cost_and_grad`` take
-    ``frame.at(t)`` in place of a map, without forming w(t).
+    ``frame.at(t)`` in place of a map, without forming w(t). A point is
+    reduced once: ``reduced``, the q and R^-1 of QR(M(t)) after the rank
+    test, is computed on first use and kept.
     """
 
     s: np.ndarray
@@ -190,6 +194,13 @@ class GeodesicFrame:
 
     def at(self, t: float) -> GeodesicFrame:
         return replace(self, t=t)
+
+    @cached_property
+    def reduced(self) -> tuple[np.ndarray, np.ndarray]:
+        s, t = self.s[:, None], self.t
+        m = np.cos(s * t) * self.a + (t * sinc(s * t)) * self.b
+        q, _, r_inv = qr_with_inverse(m)
+        return q, r_inv
 
 
 def geodesic_frame(w, h: np.ndarray, factor, p: Problem) -> GeodesicFrame:
@@ -225,7 +236,8 @@ def euclidean_grad(w, p: Problem) -> np.ndarray:
 def cost_and_grad(w, p: Problem) -> tuple[float, np.ndarray, int]:
     """Cost, Euclidean gradient, and 0 skipped pairs.
 
-    Takes w as ``cost`` does; the cost is bit-equal to ``cost(w, p)``.
+    Takes w as ``cost`` does; the cost is bit-equal to ``cost(w, p)``, and a
+    frame point that ``cost`` has evaluated is not reduced again.
     Every pair contributes to the gradient (see
     ``metrics.pair_measure_grads``). The third item, always 0, stays because
     perfbench/tracer.py reads it as each call's skipped-pair count.
@@ -233,26 +245,27 @@ def cost_and_grad(w, p: Problem) -> tuple[float, np.ndarray, int]:
     return *_evaluate(w, p, with_grad=True), 0
 
 
-def _stack(w, p: Problem):
-    """The d x n matrices M_i whose QR the cost sees, for the samples that
-    touch a pair, and the d x d factor that takes sum_i X_i dM_i^T to the
-    gradient (None for a map, where M_i = W^T X_i)."""
+def _reduce(w, p: Problem):
+    """q and R^-1 of the QR of the d x n matrices M_i that the cost sees, for
+    the samples that touch a pair, and the d x d factor that takes
+    sum_i X_i dM_i^T to the gradient (None for a map, where M_i = W^T X_i).
+    A frame point gives its kept QR; a map is reduced on every call."""
     if isinstance(w, GeodesicFrame):
         if w.a.shape != (len(p._active), p.target_dim, p.order):
             raise DimensionMismatch("frame built for a different problem")
-        s, t = w.s[:, None], w.t
-        return np.cos(s * t) * w.a + (t * sinc(s * t)) * w.b, w.v.T
-    return np.matmul(_checked_map(w, p).T, p.points)[p._active], None
+        return *w.reduced, w.v.T
+    m = np.matmul(_checked_map(w, p).T, p.points)[p._active]
+    q, _, r_inv = qr_with_inverse(m)
+    return q, r_inv, None
 
 
 def _evaluate(w, p: Problem, with_grad: bool):
     """The cost, and with_grad the gradient, at a map or a frame point: one
-    core from the stack M on."""
-    m, vt = _stack(w, p)
+    core from the QR on."""
+    q, r_inv, vt = _reduce(w, p)
     grad = np.zeros((p.ambient_dim, p.target_dim)) if with_grad else None
     if not len(p._weights):
         return 0.0, grad
-    q, _, r_inv = qr_with_inverse(m)
     dq = np.zeros_like(q) if with_grad else None
     total = 0.0
     for c, i_side, j_side in p._chunks:

@@ -127,6 +127,24 @@ class TestBuildAffinity:
         assert g.g.dtype == np.int64
         assert np.array_equal(g.g, build_affinity_rows(labels, dist, kw, kb))
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kw, kb", [(1, 1), ("m-1", 1), ("m-1", "m-1")])
+    def test_argmin_and_link_all_paths_match_oracle(self, seed, kw, kb):
+        # kb = 1 selects by argmin, and kw = m - 1 (m the smallest class)
+        # links every within-class candidate of the smallest classes while
+        # the larger ones still sort; distances in {0, 1, 2} tie everywhere
+        sizes = (3, 5, 3, 4)
+        rng = np.random.default_rng(seed)
+        labels = [c for c, m in enumerate(sizes) for _ in range(m)]
+        labels = list(rng.permutation(labels))
+        n = len(labels)
+        upper = np.triu(rng.integers(0, 3, (n, n)), 1)
+        dist = (upper + upper.T).astype(float)
+        kw = default_kw(labels) if kw == "m-1" else kw
+        kb = default_kw(labels) if kb == "m-1" else kb
+        g = build_affinity(labels, dist, kw=kw, kb=kb)
+        assert np.array_equal(g.g, build_affinity_rows(labels, dist, kw, kb))
+
     def test_monotonicity_in_k(self, rng):
         labels = ["a"] * 4 + ["b"] * 4 + ["c"] * 4
         coords = rng.standard_normal(12)

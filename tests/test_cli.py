@@ -304,6 +304,35 @@ class TestEval:
         assert code == 2
 
 
+class TestBasisOrder:
+    @pytest.mark.parametrize("order", [3, -3])
+    def test_order_of_another_dataset(self, tmp_path, dataset_dir, capsys, order):
+        # the dataset holds bases of order 2: eval rejects another --order
+        # as train does, with one error line and nothing on stdout
+        train = [
+            "train", "--data", dataset_dir, "--metric", "p", "--dim", 4,
+            "--order", order, "--out", tmp_path / "w.csv",
+        ]
+        evaluate = [
+            "eval", "--train", dataset_dir, "--test", dataset_dir,
+            "--metric", "p", "--order", order,
+        ]
+        for args in (train, evaluate):
+            assert run(args) == 2
+            out = capsys.readouterr()
+            assert out.err == (
+                f"error: --order {order} does not match dataset order 2\n"
+            )
+            assert out.out == ""
+
+    def test_matching_order(self, dataset_dir, capsys):
+        assert run([
+            "eval", "--train", dataset_dir, "--test", dataset_dir,
+            "--metric", "p", "--order", 2,
+        ]) == 0
+        assert "accuracy=1.0" in capsys.readouterr().out
+
+
 class TestRawOrder:
     @pytest.mark.parametrize("order", [0, -1, -3])
     def test_nonpositive_order(self, tmp_path, raw_dataset_dir, capsys, order):

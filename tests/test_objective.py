@@ -491,8 +491,36 @@ class TestGeodesicFrame:
         other = rand_problem(MeasureKind.PROJECTION_SQ, 8, 10, 4, 2, seed=6)
         with pytest.raises(DimensionMismatch, match="different problem"):
             cost(frame.at(0.5), other)
+        # also at a point that has kept its QR
+        point = frame.at(0.5)
+        cost(point, p)
+        for evaluate in (cost, cost_and_grad):
+            with pytest.raises(DimensionMismatch, match="different problem"):
+                evaluate(point, other)
         with pytest.raises(DimensionMismatch):
             geodesic_frame(w, h[:, :3], factor, p)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_point_is_reduced_once(self, kind, monkeypatch):
+        # cost_and_grad at a point that cost has evaluated reuses its QR and
+        # gives, bit for bit, what a fresh point of the same step gives
+        qrs = []
+        qr_with_inverse = objective.qr_with_inverse
+
+        def counted(m):
+            qrs.append(m.shape)
+            return qr_with_inverse(m)
+
+        monkeypatch.setattr(objective, "qr_with_inverse", counted)
+        p, w, h, factor, frame = frame_case(kind, 14, 6, 3, 12, seed=32)
+        point = frame.at(0.75)
+        c = cost(point, p)
+        c_kept, g_kept, _ = cost_and_grad(point, p)
+        assert len(qrs) == 1
+        c_fresh, g_fresh, _ = cost_and_grad(frame.at(0.75), p)
+        assert len(qrs) == 2
+        assert c_kept == c == c_fresh
+        assert g_kept.tobytes() == g_fresh.tobytes()
 
     @given(
         d_ambient=st.integers(min_value=3, max_value=64),

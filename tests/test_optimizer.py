@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ggdr import optimizer
+from ggdr import objective, optimizer
 from ggdr.affinity import AffinityGraph, build_affinity, default_kw
 from ggdr.errors import InvalidShape
 from ggdr.manifold import MappingMatrix, TangentVector, orthonormalize, random_point
@@ -256,6 +256,36 @@ class TestLineSearch:
         assert trace.line_search_failed and trace.iterations > 1
         assert trace.records[-1].backtracks == optimizer.MAX_BACKTRACKS
         assert trace.objective_evals == len(calls)
+
+    def test_one_qr_per_visited_point(self, monkeypatch):
+        # every trial point is reduced once, by its cost; the accepted one's
+        # cost_and_grad reuses that QR. The starting map adds one more.
+        calls = dict.fromkeys(("qr", "cost", "cost_and_grad"), 0)
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            objective, "qr_with_inverse", counted("qr", objective.qr_with_inverse)
+        )
+        monkeypatch.setattr(optimizer, "cost", counted("cost", optimizer.cost))
+        monkeypatch.setattr(
+            optimizer,
+            "cost_and_grad",
+            counted("cost_and_grad", optimizer.cost_and_grad),
+        )
+        full = synth_dataset(demo_analog_params(within_noise=0.3, seed=0))
+        train = full.subset([i for i in range(full.size) if i % 10 < 5])
+        opts = OptimOptions(max_iter=10, rel_cost_tol=0.0, grad_norm_tol=0.0)
+        _, trace = minimize(training_problem(train, KIND, 12), opts=opts)
+        assert trace.iterations == 10
+        assert calls["cost_and_grad"] == trace.iterations + 1
+        assert calls["cost"] + calls["cost_and_grad"] == trace.objective_evals
+        assert calls["qr"] == calls["cost"] + 1
 
     # Ceilings: the total objective evaluations per measure of the fits below
     # when every Armijo search started at step 1.0, measured on the code
