@@ -9,6 +9,7 @@ echoed into the trace header so runs can be reproduced from their outputs.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 
 import numpy as np
@@ -53,6 +54,19 @@ BOOLEANS = {
     **dict.fromkeys(("1", "true", "yes", "on"), True),
     **dict.fromkeys(("0", "false", "no", "off"), False),
 }
+# the keys that train reads, from a flag or a config file: (cast, default)
+TRAIN_KEYS = {
+    "kw": (int, None),
+    "kb": (int, 1),
+    "seed": (int, 0),
+    "init": (str, "identity"),
+    "literal-similarity": (bool, False),
+    "max-iter": (int, OptimOptions.max_iter),
+    "rel-tol": (float, OptimOptions.rel_cost_tol),
+    "grad-tol": (float, OptimOptions.grad_norm_tol),
+    "beta-rule": (str, OptimOptions.beta_rule.value),
+    "restart": (int, OptimOptions.restart_period),
+}
 
 
 def _parse_config(path) -> dict:
@@ -71,8 +85,9 @@ def _parse_config(path) -> dict:
     return values
 
 
-def _resolve(args, key: str, cast, default):
-    """Flag value if given, else config value, else the hard default."""
+def _resolve(args, key: str):
+    """Flag value if given, else config value, else the TRAIN_KEYS default."""
+    cast, default = TRAIN_KEYS[key]
     flag_value = getattr(args, key.replace("-", "_"))
     if flag_value is not None:
         return flag_value
@@ -101,17 +116,17 @@ def _metric(code: str) -> MeasureKind:
 
 
 def _optim_options(args) -> tuple[OptimOptions, dict]:
-    rule = _resolve(args, "beta-rule", str, "pr+")
+    rule = _resolve(args, "beta-rule")
     try:
         beta_rule = BetaRule(rule)
     except ValueError as exc:
         raise ValidationError(f"beta-rule must be pr+ or fr, got {rule!r}") from exc
     opts = OptimOptions(
-        max_iter=_resolve(args, "max-iter", int, 100),
-        rel_cost_tol=_resolve(args, "rel-tol", float, 1e-6),
-        grad_norm_tol=_resolve(args, "grad-tol", float, 1e-6),
+        max_iter=_resolve(args, "max-iter"),
+        rel_cost_tol=_resolve(args, "rel-tol"),
+        grad_norm_tol=_resolve(args, "grad-tol"),
         beta_rule=beta_rule,
-        restart_period=_resolve(args, "restart", int, None),
+        restart_period=_resolve(args, "restart"),
     )
     shown = {
         "max-iter": opts.max_iter,
@@ -134,6 +149,11 @@ def _load(directory, order: int | None):
 
 
 def cmd_train(args) -> int:
+    for key in args._config:
+        if key not in TRAIN_KEYS:
+            raise ValidationError(
+                f"unknown config key {key!r}; train reads {', '.join(TRAIN_KEYS)}"
+            )
     metric = _metric(args.metric)
     dim = args.dim
     order = args.order
@@ -141,15 +161,15 @@ def cmd_train(args) -> int:
         raise ValidationError(f"--dim must be positive, got {dim}")
     if order is not None and dim < order:
         raise ValidationError(f"--dim {dim} smaller than --order {order}")
-    kb = _resolve(args, "kb", int, 1)
-    kw = _resolve(args, "kw", int, None)
+    kb = _resolve(args, "kb")
+    kw = _resolve(args, "kw")
     if kb < 1 or (kw is not None and (kw < 1 or kb > kw)):
         raise ValidationError(f"need 1 <= kb <= kw, got kw={kw}, kb={kb}")
-    seed = _resolve(args, "seed", int, 0)
+    seed = _resolve(args, "seed")
     if seed < 0:
         raise ValidationError(f"--seed must be nonnegative, got {seed}")
-    literal = _resolve(args, "literal-similarity", bool, False)
-    init = _resolve(args, "init", str, "identity")
+    literal = _resolve(args, "literal-similarity")
+    init = _resolve(args, "init")
     if init not in ("identity", "random"):
         raise ValidationError(f"--init must be identity or random, got {init!r}")
     opts, shown = _optim_options(args)
@@ -213,11 +233,9 @@ def cmd_eval(args) -> int:
     acc = sum(1 for p, t in zip(labels, test.labels) if p == t) / test.size
     if args.preds:
         with open(args.preds, "w", encoding="utf-8") as fh:
-            fh.write("id,true,pred,nn_distance\n")
-            for pid, true, pred, value in zip(
-                test.provenance, test.labels, labels, values
-            ):
-                fh.write(f"{pid},{true},{pred},{value!r}\n")
+            rows = csv.writer(fh, lineterminator="\n")
+            rows.writerow(("id", "true", "pred", "nn_distance"))
+            rows.writerows(zip(test.provenance, test.labels, labels, map(repr, values)))
     print(f"accuracy={acc!r}")
     return EXIT_OK
 

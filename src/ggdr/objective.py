@@ -7,7 +7,7 @@ neighbor-graph pairs; the kernel measure's contribution is negated by default
 so that within-class similarity is maximized rather than minimized.
 
 Every evaluation works on stacked arrays: one batched W^T X, one batched QR
-of the samples that touch a pair, and the pair products Q_i^T Q_j as
+of every sample, and the pair products Q_i^T Q_j as
 (P, n, n) stacks in chunks of bounded memory. The Euclidean gradient sums
 each chunk's pair gradients per sample as segment sums (``np.add.reduceat``
 over segments fixed when the Problem is built), pulls the per-sample sums
@@ -69,14 +69,10 @@ class Problem:
     kind: MeasureKind
     target_dim: int
     sign_flip_similarity: bool = True
-    # the samples that touch a pair; each pair (i < j, row-major order) as
-    # positions in _active
-    _active: np.ndarray = field(init=False, repr=False)
-    _pair_i: np.ndarray = field(init=False, repr=False)
-    _pair_j: np.ndarray = field(init=False, repr=False)
-    _weights: np.ndarray = field(init=False, repr=False)
-    # the pair chunks, sized by PAIR_BLOCK_BYTES when the Problem is built,
-    # each with the i- and j-side segments of the gradient scatter (_segments)
+    # the pairs (i < j, row-major order), in chunks sized by PAIR_BLOCK_BYTES
+    # when the Problem is built; a chunk is (i, j, weights, i-side segments,
+    # j-side segments), with i and j indexing points, each weight the graph
+    # entry times pair_sign, and the segments of the gradient scatter
     _chunks: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -94,19 +90,14 @@ class Problem:
             )
         gm = self.graph.g
         rows, cols = np.nonzero(np.triu(gm, 1))
-        active, ends = np.unique(np.concatenate([rows, cols]), return_inverse=True)
+        weights = self.pair_sign * gm[rows, cols]
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "_active", active)
-        object.__setattr__(self, "_pair_i", ends[: len(rows)])
-        object.__setattr__(self, "_pair_j", ends[len(rows) :])
-        object.__setattr__(self, "_weights", gm[rows, cols].astype(np.float64))
         step = max(1, PAIR_BLOCK_BYTES // (8 * self.target_dim * order))
         chunks = []
         for start in range(0, len(rows), step):
             c = slice(start, start + step)
-            chunks.append(
-                (c, _segments(self._pair_i[c]), _segments(self._pair_j[c]))
-            )
+            i, j = rows[c], cols[c]
+            chunks.append((i, j, weights[c], _segments(i), _segments(j)))
         object.__setattr__(self, "_chunks", tuple(chunks))
 
     @property
@@ -177,7 +168,7 @@ class GeodesicFrame:
     with the d x n matrices
         M_i(t) = cos(S t) A_i + t sinc(S t) B_i,
         A_i = (w V)^T X_i,  B_i = (h V)^T X_i
-    (``a`` and ``b``, for the samples that touch a pair). V is orthogonal,
+    (``a`` and ``b``, for every sample). V is orthogonal,
     so QR(V M) = (V Q, R): the pair products, the rank test and the cost at
     w(t) are those of the stack M(t), and the gradient is
     (sum_i X_i dM_i^T) V^T. ``cost`` and ``cost_and_grad`` take
@@ -212,8 +203,8 @@ def geodesic_frame(w, h: np.ndarray, factor, p: Problem) -> GeodesicFrame:
     if h.shape != wm.shape:
         raise DimensionMismatch("tangent vector shaped for a different map")
     wv, hv, s, v = factor
-    a = np.matmul(wv.T, p.points)[p._active]
-    b = np.matmul(hv.T, p.points)[p._active]
+    a = np.matmul(wv.T, p.points)
+    b = np.matmul(hv.T, p.points)
     return GeodesicFrame(s, v, a, b)
 
 
@@ -247,14 +238,14 @@ def cost_and_grad(w, p: Problem) -> tuple[float, np.ndarray, int]:
 
 def _reduce(w, p: Problem):
     """q and R^-1 of the QR of the d x n matrices M_i that the cost sees, for
-    the samples that touch a pair, and the d x d factor that takes
+    every sample, and the d x d factor that takes
     sum_i X_i dM_i^T to the gradient (None for a map, where M_i = W^T X_i).
     A frame point gives its kept QR; a map is reduced on every call."""
     if isinstance(w, GeodesicFrame):
-        if w.a.shape != (len(p._active), p.target_dim, p.order):
+        if w.a.shape != (len(p.points), p.target_dim, p.order):
             raise DimensionMismatch("frame built for a different problem")
         return *w.reduced, w.v.T
-    m = np.matmul(_checked_map(w, p).T, p.points)[p._active]
+    m = np.matmul(_checked_map(w, p).T, p.points)
     q, _, r_inv = qr_with_inverse(m)
     return q, r_inv, None
 
@@ -263,14 +254,10 @@ def _evaluate(w, p: Problem, with_grad: bool):
     """The cost, and with_grad the gradient, at a map or a frame point: one
     core from the QR on."""
     q, r_inv, vt = _reduce(w, p)
-    grad = np.zeros((p.ambient_dim, p.target_dim)) if with_grad else None
-    if not len(p._weights):
-        return 0.0, grad
     dq = np.zeros_like(q) if with_grad else None
     total = 0.0
-    for c, i_side, j_side in p._chunks:
-        weights = p._weights[c]
-        qi, qj = q[p._pair_i[c]], q[p._pair_j[c]]
+    for i, j, weights, i_side, j_side in p._chunks:
+        qi, qj = q[i], q[j]
         if not with_grad:
             total += float(weights @ pair_measures(p.kind, qi.mT @ qj))
             continue
@@ -280,20 +267,19 @@ def _evaluate(w, p: Problem, with_grad: bool):
         _scatter_add(dq, qj @ da.mT, i_side)
         _scatter_add(dq, qi @ da, j_side)
     if not with_grad:
-        return p.pair_sign * total, None
+        return total, None
 
-    dm = qr_pullback_inverse(q, r_inv, p.pair_sign * dq)
+    dm = qr_pullback_inverse(q, r_inv, dq)
+    grad = np.zeros((p.ambient_dim, p.target_dim))
     # sum X_i dM_i^T in blocks of samples: tensordot copies each block of
     # D x n bases, so one contraction over the whole stack would copy it
     # whole. A block may copy as much as the D x d gradient holds: fewer
     # samples make a product too thin to beat one matmul per sample.
     block_bytes = max(PAIR_BLOCK_BYTES, grad.nbytes)
     step = max(1, block_bytes // (8 * p.ambient_dim * p.order))
-    for start in range(0, len(p._active), step):
+    for start in range(0, len(q), step):
         block = slice(start, start + step)
-        grad += np.tensordot(
-            p.points[p._active[block]], dm[block], axes=([0, 2], [0, 2])
-        )
+        grad += np.tensordot(p.points[block], dm[block], axes=([0, 2], [0, 2]))
     if vt is not None:
         grad = grad @ vt
-    return p.pair_sign * total, grad
+    return total, grad

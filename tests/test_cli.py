@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,18 @@ class TestTrain:
         assert "literal-similarity='ture'" in capsys.readouterr().err
         assert not (tmp_path / "w.csv").exists()
 
+    def test_config_key_misspelt(self, tmp_path, dataset_dir, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_iter = 3\n")
+        assert run([
+            "train", "--data", dataset_dir, "--metric", "p", "--dim", 4,
+            "--order", 2, "--out", tmp_path / "w.csv", "--config", cfg,
+        ]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "'max_iter'" in err[0]
+        assert not (tmp_path / "w.csv").exists()
+
     @pytest.mark.parametrize("text", ["max-iter 3\n", None])
     def test_malformed_or_missing_config_exits_1(
         self, tmp_path, dataset_dir, capsys, text
@@ -267,6 +281,44 @@ class TestEval:
         printed = float(capsys.readouterr().out.split("accuracy=")[1])
         rows = [line.split(",") for line in preds.read_text().splitlines()[1:]]
         assert printed == sum(r[1] == r[2] for r in rows) / len(rows)
+
+    def test_preds_plain_bytes(self, tmp_path, dataset_dir, monkeypatch):
+        passes = []
+        nn_predict = cli._nn_predict
+
+        def kept(*args):
+            passes.append(nn_predict(*args))
+            return passes[-1]
+
+        monkeypatch.setattr(cli, "_nn_predict", kept)
+        preds = tmp_path / "preds.csv"
+        assert run([
+            "eval", "--train", dataset_dir, "--test", dataset_dir,
+            "--metric", "p", "--preds", preds,
+        ]) == 0
+        manifest = (dataset_dir / "manifest.tsv").read_text().splitlines()
+        rows = [line.split("\t")[:2] for line in manifest]
+        labels, _, values = passes[0]
+        expected = "id,true,pred,nn_distance\n" + "".join(
+            f"{pid},{true},{pred},{value!r}\n"
+            for (pid, true), pred, value in zip(rows, labels, values)
+        )
+        assert preds.read_bytes() == expected.encode()
+
+    def test_preds_quote_comma_and_quote(self, tmp_path, dataset_dir):
+        manifest = dataset_dir / "manifest.tsv"
+        lines = manifest.read_text().splitlines()
+        lines[0] = 'a,b "q"\t' + lines[0].split("\t", 1)[1]
+        manifest.write_text("\n".join(lines) + "\n")
+        preds = tmp_path / "preds.csv"
+        assert run([
+            "eval", "--train", dataset_dir, "--test", dataset_dir,
+            "--metric", "p", "--preds", preds,
+        ]) == 0
+        with open(preds, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 13 and all(len(r) == 4 for r in rows)
+        assert rows[1][0] == 'a,b "q"'
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_basis_file(self, dataset_dir, value):

@@ -348,7 +348,9 @@ class TestBatchedMatchesPerPairReference:
     @pytest.mark.parametrize("chunk_pairs", [None, 7])
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_graph_with_inactive_samples(self, kind, chunk_pairs, monkeypatch):
-        # samples 10 and 11 touch no pair; chunks of 7 pairs leave a remainder
+        # two samples touch no pair, placed last and then first (so every pair
+        # index shifts); chunks of 7 pairs leave a remainder. The two add
+        # nothing to the Problem of the ten paired samples alone.
         d_ambient, d_target, order = 12, 6, 3
         if chunk_pairs is not None:
             monkeypatch.setattr(
@@ -356,9 +358,27 @@ class TestBatchedMatchesPerPairReference:
             )
         pts = tuple(random_point(d_ambient, order, 40 + s) for s in range(12))
         edges = [(i, j) for i in range(10) for j in range(i + 1, 10) if (i + j) % 3]
-        p = Problem(pts, signed_graph(12, edges, 1), kind, target_dim=d_target)
-        assert len(p._active) == 10 and len(p._weights) == len(edges)
-        assert_matches_reference(rand_w(d_ambient, d_target, 2), p)
+        w = rand_w(d_ambient, d_target, 2)
+        paired = Problem(pts[:10], signed_graph(10, edges, 1), kind, d_target)
+        c_paired, g_paired, _ = cost_and_grad(w, paired)
+        shifted = [(i + 2, j + 2) for i, j in edges]
+        for points, pairs in ((pts, edges), (pts[10:] + pts[:10], shifted)):
+            p = Problem(points, signed_graph(12, pairs, 1), kind, d_target)
+            assert_matches_reference(w, p)
+            c, g, _ = cost_and_grad(w, p)
+            assert c == c_paired
+            assert np.linalg.norm(g - g_paired) <= 1e-13 * np.linalg.norm(g_paired)
+
+    def test_inactive_sample_is_rank_tested(self):
+        # sample 3 touches no pair, and W^T X_3 has rank 1: it is reduced
+        # and rank-tested like every other sample
+        e = np.eye(8)
+        pts = tuple(random_point(8, 2, 70 + s) for s in range(3))
+        pts += (GrassmannPoint(e[:, [0, 5]]),)
+        graph = signed_graph(4, [(0, 1), (0, 2), (1, 2)], 4)
+        p = Problem(pts, graph, MeasureKind.PROJECTION_SQ, target_dim=3)
+        with pytest.raises(RankDeficient, match="matrix 3 of the stack"):
+            cost(MappingMatrix(e[:, :3]), p)
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_segments_span_chunks(self, kind, monkeypatch):
@@ -369,15 +389,16 @@ class TestBatchedMatchesPerPairReference:
         pts = tuple(random_point(d_ambient, order, 90 + s) for s in range(9))
         edges = [(i, j) for i in range(9) for j in range(i + 1, 9) if (i * j) % 4 != 1]
         p = Problem(pts, signed_graph(9, edges, 6), kind, target_dim=d_target)
-        i_runs = [p._pair_i[c][[0, -1]] for c, _, _ in p._chunks]
+        i_runs = [i[[0, -1]] for i, *_ in p._chunks]
         assert any(a[-1] == b[0] for a, b in zip(i_runs, i_runs[1:]))
-        assert any(j_side[0] is not None for _, _, j_side in p._chunks)
-        assert all(i_side[0] is None for _, i_side, _ in p._chunks)
+        assert any(j_side[0] is not None for *_, j_side in p._chunks)
+        assert all(i_side[0] is None for *_, i_side, _ in p._chunks)
         assert_matches_reference(rand_w(d_ambient, d_target, 7), p)
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_gather_in_blocks(self, kind, monkeypatch):
-        # blocks of 3 samples: the 10 active samples contract in 4 blocks
+        # blocks of 3 samples: the 11 samples, sample 0 in no pair, contract
+        # in 4 blocks
         d_ambient, d_target, order = 12, 6, 3
         monkeypatch.setattr(objective, "PAIR_BLOCK_BYTES", 8 * d_ambient * order * 3)
         pts = tuple(random_point(d_ambient, order, 100 + s) for s in range(11))
@@ -385,7 +406,6 @@ class TestBatchedMatchesPerPairReference:
             (i, j) for i in range(1, 11) for j in range(i + 1, 11) if (i + j) % 4
         ]
         p = Problem(pts, signed_graph(11, edges, 8), kind, target_dim=d_target)
-        assert len(p._active) == 10
         assert_matches_reference(rand_w(d_ambient, d_target, 9), p)
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
