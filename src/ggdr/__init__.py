@@ -16,7 +16,6 @@ from .errors import (
     DimensionMismatch,
     EmptyTrainingSet,
     GgdrError,
-    InvalidGrid,
     InvalidK,
     InvalidShape,
     NotSquare,
@@ -65,7 +64,6 @@ from .optimizer import (
 )
 from .pipeline import (
     GradCheckReport,
-    GridSearchResult,
     LabeledDataset,
     SynthParams,
     build_subspace,
@@ -73,7 +71,6 @@ from .pipeline import (
     evaluate,
     fit,
     gradient_check,
-    grid_search,
     nn_classify,
     pairwise_dissimilarity,
     synth_dataset,

@@ -54,18 +54,19 @@ BOOLEANS = {
     **dict.fromkeys(("1", "true", "yes", "on"), True),
     **dict.fromkeys(("0", "false", "no", "off"), False),
 }
-# the keys that train reads, from a flag or a config file: (cast, default)
+# the parameters train reads, each from a flag or a config line of the same
+# name; the only list of them: (cast, default, help)
 TRAIN_KEYS = {
-    "kw": (int, None),
-    "kb": (int, 1),
-    "seed": (int, 0),
-    "init": (str, "identity"),
-    "literal-similarity": (bool, False),
-    "max-iter": (int, OptimOptions.max_iter),
-    "rel-tol": (float, OptimOptions.rel_cost_tol),
-    "grad-tol": (float, OptimOptions.grad_norm_tol),
-    "beta-rule": (str, OptimOptions.beta_rule.value),
-    "restart": (int, OptimOptions.restart_period),
+    "kw": (int, None, "within-class neighbors (default: min class size - 1)"),
+    "kb": (int, 1, "between-class neighbors (default 1)"),
+    "seed": (int, 0, "seed for --init random (default 0)"),
+    "init": (str, "identity", "identity (default) or random"),
+    "literal-similarity": (bool, False, "keep the raw sign of similarity-like measures"),
+    "max-iter": (int, OptimOptions.max_iter, "CG iteration limit"),
+    "rel-tol": (float, OptimOptions.rel_cost_tol, "relative cost-drop tolerance"),
+    "grad-tol": (float, OptimOptions.grad_norm_tol, "gradient-norm tolerance"),
+    "beta-rule": (str, OptimOptions.beta_rule.value, "CG beta: pr+ (default) or fr"),
+    "restart": (int, OptimOptions.restart_period, "CG restart period (default d(D-d))"),
 }
 
 
@@ -87,7 +88,7 @@ def _parse_config(path) -> dict:
 
 def _resolve(args, key: str):
     """Flag value if given, else config value, else the TRAIN_KEYS default."""
-    cast, default = TRAIN_KEYS[key]
+    cast, default, _ = TRAIN_KEYS[key]
     flag_value = getattr(args, key.replace("-", "_"))
     if flag_value is not None:
         return flag_value
@@ -115,29 +116,6 @@ def _metric(code: str) -> MeasureKind:
     return METRIC_CODES[code]
 
 
-def _optim_options(args) -> tuple[OptimOptions, dict]:
-    rule = _resolve(args, "beta-rule")
-    try:
-        beta_rule = BetaRule(rule)
-    except ValueError as exc:
-        raise ValidationError(f"beta-rule must be pr+ or fr, got {rule!r}") from exc
-    opts = OptimOptions(
-        max_iter=_resolve(args, "max-iter"),
-        rel_cost_tol=_resolve(args, "rel-tol"),
-        grad_norm_tol=_resolve(args, "grad-tol"),
-        beta_rule=beta_rule,
-        restart_period=_resolve(args, "restart"),
-    )
-    shown = {
-        "max-iter": opts.max_iter,
-        "rel-tol": opts.rel_cost_tol,
-        "grad-tol": opts.grad_norm_tol,
-        "beta-rule": opts.beta_rule.value,
-        "restart": opts.restart_period if opts.restart_period is not None else "auto",
-    }
-    return opts, shown
-
-
 def _load(directory, order: int | None):
     """``load_dataset``, which must give a dataset of the order asked for."""
     ds = load_dataset(directory, order=order)
@@ -161,18 +139,26 @@ def cmd_train(args) -> int:
         raise ValidationError(f"--dim must be positive, got {dim}")
     if order is not None and dim < order:
         raise ValidationError(f"--dim {dim} smaller than --order {order}")
-    kb = _resolve(args, "kb")
-    kw = _resolve(args, "kw")
+    given = {key: _resolve(args, key) for key in TRAIN_KEYS}
+    kw, kb, seed, init = given["kw"], given["kb"], given["seed"], given["init"]
     if kb < 1 or (kw is not None and (kw < 1 or kb > kw)):
         raise ValidationError(f"need 1 <= kb <= kw, got kw={kw}, kb={kb}")
-    seed = _resolve(args, "seed")
     if seed < 0:
         raise ValidationError(f"--seed must be nonnegative, got {seed}")
-    literal = _resolve(args, "literal-similarity")
-    init = _resolve(args, "init")
     if init not in ("identity", "random"):
         raise ValidationError(f"--init must be identity or random, got {init!r}")
-    opts, shown = _optim_options(args)
+    rule = given["beta-rule"]
+    try:
+        beta_rule = BetaRule(rule)
+    except ValueError as exc:
+        raise ValidationError(f"beta-rule must be pr+ or fr, got {rule!r}") from exc
+    opts = OptimOptions(
+        max_iter=given["max-iter"],
+        rel_cost_tol=given["rel-tol"],
+        grad_norm_tol=given["grad-tol"],
+        beta_rule=beta_rule,
+        restart_period=given["restart"],
+    )
 
     ds = _load(args.data, order)
     if dim < ds.order or dim > ds.ambient_dim:
@@ -194,21 +180,20 @@ def cmd_train(args) -> int:
         kb=kb,
         opts=opts,
         w0=w0,
-        sign_flip_similarity=not literal,
+        sign_flip_similarity=not given["literal-similarity"],
     )
     save_mapping(args.out, w)
+    # dict update keeps each key where **given put it
     params = {
         "command": "train",
         "data": args.data,
         "metric": metric.value,
         "dim": dim,
         "order": ds.order,
+        **given,
         "kw": graph.kw,
         "kb": graph.kb,
-        "seed": seed,
-        "init": init,
-        "literal-similarity": literal,
-        **shown,
+        "restart": "auto" if given["restart"] is None else given["restart"],
     }
     if args.trace:
         trace.write_csv(args.trace, params=params)
@@ -301,25 +286,14 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--metric", required=True, help=metric_help)
     t.add_argument("--dim", type=int, required=True, help="target dimension d")
     t.add_argument("--order", type=int, help="subspace order n (required for raw data)")
-    t.add_argument("--kw", type=int, help="within-class neighbors (default: min class size - 1)")
-    t.add_argument("--kb", type=int, help="between-class neighbors (default 1)")
     t.add_argument("--out", required=True, help="output CSV for the map")
     t.add_argument("--trace", help="output CSV for the optimization trace")
     t.add_argument("--graph-out", help="output CSV for the affinity graph")
-    t.add_argument("--seed", type=int, help="seed for --init random (default 0)")
-    t.add_argument("--init", help="identity (default) or random")
-    t.add_argument("--max-iter", type=int, dest="max_iter")
-    t.add_argument("--rel-tol", type=float, dest="rel_tol")
-    t.add_argument("--grad-tol", type=float, dest="grad_tol")
-    t.add_argument("--beta-rule", dest="beta_rule", choices=["pr+", "fr"])
-    t.add_argument("--restart", type=int, help="CG restart period (default d(D-d))")
-    t.add_argument(
-        "--literal-similarity",
-        action="store_const",
-        const=True,
-        default=None,
-        help="keep the raw sign of similarity-like measures in the objective",
-    )
+    for key, (cast, _, help_text) in TRAIN_KEYS.items():
+        if cast is bool:
+            t.add_argument(f"--{key}", action="store_const", const=True, help=help_text)
+        else:
+            t.add_argument(f"--{key}", type=cast, help=help_text)
     t.add_argument("--config", help="line-oriented config file")
     t.set_defaults(func=cmd_train)
 
@@ -372,10 +346,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NumericalError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except GgdrError as exc:
+    except (GgdrError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -218,7 +218,20 @@ def load_dataset(directory, order: int | None = None) -> LabeledDataset:
 
 
 def save_dataset(directory, ds: LabeledDataset) -> None:
-    """Write a dataset as basis-mode sample files plus the manifest."""
+    """Write a dataset as basis-mode sample files plus the manifest.
+
+    Before any file is written, raises DataFormatError for a sample the
+    manifest could not give back: an id or label holding a tab or a line
+    break, or a line whose first non-blank character is ``#`` (a comment).
+    """
+    for i, (label, pid) in enumerate(zip(ds.labels, ds.provenance)):
+        head = f"{pid}\t{label}"
+        breaks = head.count("\t") > 1 or "\n" in head or "\r" in head
+        if breaks or head.lstrip().startswith("#"):
+            raise DataFormatError(
+                f"sample {i} (id {pid!r}, label {label!r}) would not read back "
+                "from the manifest: a tab or line break, or a leading '#'"
+            )
     os.makedirs(directory, exist_ok=True)
     lines = []
     for i, (basis, label, pid) in enumerate(zip(ds.bases, ds.labels, ds.provenance)):

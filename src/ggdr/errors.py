@@ -11,7 +11,7 @@ class GgdrError(Exception):
 
 
 class ValidationError(GgdrError):
-    """Invalid argument: wrong shape, inconsistent parameters, bad grid."""
+    """Invalid argument: wrong shape, inconsistent or out-of-range parameters."""
 
 
 class NumericalError(GgdrError):
@@ -43,10 +43,6 @@ class DegenerateClass(ValidationError):
 
 
 class EmptyTrainingSet(ValidationError):
-    pass
-
-
-class InvalidGrid(ValidationError):
     pass
 
 

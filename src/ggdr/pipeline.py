@@ -1,4 +1,4 @@
-"""Experiment protocol: datasets, nearest-neighbor evaluation, grid search.
+"""Experiment protocol: datasets, fitting, nearest-neighbor evaluation.
 
 Feature matrices become subspaces by truncated SVD; labeled subspace
 collections feed the affinity builder and optimizer; a nearest-neighbor
@@ -12,7 +12,6 @@ gradients end to end.
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,10 +19,8 @@ import numpy as np
 
 from .affinity import AffinityGraph, build_affinity, default_kw
 from .errors import (
-    DegenerateClass,
     DimensionMismatch,
     EmptyTrainingSet,
-    InvalidGrid,
     InvalidShape,
     NumericalHealthWarning,
     RankDeficient,
@@ -93,9 +90,6 @@ class LabeledDataset:
     @property
     def order(self) -> int:
         return self.bases.shape[2]
-
-    def class_sizes(self) -> Counter:
-        return Counter(self.labels)
 
     def subset(self, indices) -> "LabeledDataset":
         idx = list(indices)
@@ -388,68 +382,6 @@ def fit(
     )
     w, trace = minimize(problem, w0=w0, opts=opts)
     return w, trace, graph
-
-
-@dataclass(frozen=True)
-class GridSearchResult:
-    best_dim: int
-    best_kb: int
-    cell_accuracies: dict
-
-
-def _stratified_folds(ds: LabeledDataset, folds: int) -> np.ndarray:
-    """Deterministic fold ids: the k-th member of each class goes to fold k mod folds."""
-    sizes = ds.class_sizes()
-    too_small = [lab for lab, c in sizes.items() if c < folds]
-    if too_small:
-        raise DegenerateClass(
-            f"classes with fewer than {folds} samples: {too_small!r}"
-        )
-    fold_of = np.empty(ds.size, dtype=np.int64)
-    seen: Counter = Counter()
-    for i, lab in enumerate(ds.labels):
-        fold_of[i] = seen[lab] % folds
-        seen[lab] += 1
-    return fold_of
-
-
-def grid_search(
-    train: LabeledDataset,
-    folds: int,
-    dims,
-    kbs,
-    kind: MeasureKind,
-    opts: OptimOptions | None = None,
-) -> GridSearchResult:
-    """Stratified k-fold accuracy over a (target_dim, kb) grid.
-
-    Returns the argmax cell (ties broken toward the smallest dim, then the
-    smallest kb) together with all per-cell mean accuracies.
-    """
-    if folds < 2:
-        raise InvalidGrid(f"need folds >= 2, got {folds}")
-    dims = list(dims)
-    kbs = list(kbs)
-    if not dims or not kbs:
-        raise InvalidGrid("empty grid")
-    for d in dims:
-        if d < train.order or d >= train.ambient_dim:
-            raise InvalidGrid(
-                f"target dim {d} outside [{train.order}, {train.ambient_dim})"
-            )
-    fold_of = _stratified_folds(train, folds)
-    cells = {}
-    for d in dims:
-        for kb in kbs:
-            accs = []
-            for f in range(folds):
-                tr = train.subset(np.flatnonzero(fold_of != f))
-                te = train.subset(np.flatnonzero(fold_of == f))
-                w, _, _ = fit(tr, kind, target_dim=d, kb=kb, opts=opts)
-                accs.append(evaluate(tr, te, kind, w))
-            cells[(d, kb)] = float(np.mean(accs))
-    best_d, best_kb = min(cells, key=lambda k: (-cells[k], k[0], k[1]))
-    return GridSearchResult(best_d, best_kb, cells)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,12 @@
 ``perfbench/tracer.py`` patches functions by (module, attribute) from
 outside the package, and ``perfbench/workloads.py`` counts every failed
 operation of a round; a rename, a deletion or a broken check under ``src/``
-would otherwise only surface as a failed ``perfbench/run.py`` run.
+would otherwise only surface as a failed ``perfbench/run.py`` run. The
+tracer's lookup sites are also the only reason a module may import a name
+it does not use.
 """
 
+import ast
 import importlib
 import sys
 import types
@@ -14,6 +17,7 @@ from pathlib import Path
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ggdr"
 
 
 def _load(name):
@@ -35,6 +39,29 @@ def test_traced_site_resolves_to_a_callable(site):
     module_name, attr = site
     module = importlib.import_module(module_name)
     assert callable(getattr(module, attr, None))
+
+
+def _unused_imports(path):
+    """Names a module imports at its top level and never reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    return imported - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.stem,
+)
+def test_unused_imports_are_traced_sites(path):
+    # a deletion that leaves its imports behind fails here
+    pinned = {attr for mod, attr in SITES if mod == f"ggdr.{path.stem}"}
+    assert _unused_imports(path) - pinned == set()
 
 
 def test_health_counters_exist():

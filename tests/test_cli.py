@@ -220,6 +220,79 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "w.csv").exists()
 
+    # (flag value, or None for a bare flag; config value; value in the header)
+    NON_DEFAULT = {
+        "kw": ("2", "2", "2"),
+        "kb": ("2", "2", "2"),
+        "seed": ("3", "3", "3"),
+        "init": ("random", "random", "random"),
+        "literal-similarity": (None, "yes", "True"),
+        "max-iter": ("3", "3", "3"),
+        "rel-tol": ("0.001", "1e-3", "0.001"),
+        "grad-tol": ("0.5", "0.5", "0.5"),
+        "beta-rule": ("fr", "fr", "fr"),
+        "restart": ("4", "4", "4"),
+    }
+
+    @pytest.mark.parametrize("key", list(cli.TRAIN_KEYS))
+    def test_flag_and_config_line_are_one_parameter(self, tmp_path, dataset_dir, key):
+        flag, config, shown = self.NON_DEFAULT[key]
+        assert shown != str(cli.TRAIN_KEYS[key][1])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {config}\n")
+        runs = {
+            "flag": ["--" + key] + ([flag] if flag is not None else []),
+            "config": ["--config", cfg],
+        }
+        header, maps = {}, {}
+        for name, extra in runs.items():
+            out, trace = tmp_path / f"w_{name}.csv", tmp_path / f"t_{name}.csv"
+            assert run([
+                "train", "--data", dataset_dir, "--metric", "p", "--dim", 4,
+                "--order", 2, "--out", out, "--trace", trace, *extra,
+            ]) == 0
+            header[name] = [
+                l for l in trace.read_text().splitlines() if l.startswith(f"# {key}=")
+            ]
+            maps[name] = out.read_bytes()
+        assert header["flag"] == header["config"] == [f"# {key}={shown}"]
+        assert maps["flag"] == maps["config"]
+
+    def test_default_trace_header(self, tmp_path, dataset_dir):
+        trace = tmp_path / "t.csv"
+        assert run([
+            "train", "--data", dataset_dir, "--metric", "p", "--dim", 4,
+            "--out", tmp_path / "w.csv", "--trace", trace,
+        ]) == 0
+        header = [l for l in trace.read_text().splitlines() if l.startswith("#")]
+        assert header == [
+            "# command=train",
+            f"# data={dataset_dir}",
+            "# metric=p",
+            "# dim=4",
+            "# order=2",
+            "# kw=3",
+            "# kb=1",
+            "# seed=0",
+            "# init=identity",
+            "# literal-similarity=False",
+            "# max-iter=100",
+            "# rel-tol=1e-06",
+            "# grad-tol=1e-06",
+            "# beta-rule=pr+",
+            "# restart=auto",
+        ]
+
+    def test_bad_beta_rule_flag_is_one_error_line(self, tmp_path, dataset_dir, capsys):
+        code = run([
+            "train", "--data", dataset_dir, "--metric", "p", "--dim", 4,
+            "--order", 2, "--out", tmp_path / "w.csv", "--beta-rule", "FR",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: beta-rule must be pr+ or fr, got 'FR'"]
+        assert not (tmp_path / "w.csv").exists()
+
     def test_corrupt_sample_file(self, tmp_path, dataset_dir):
         victim = dataset_dir / "sample_0000.csv"
         lines = victim.read_text().splitlines()

@@ -15,7 +15,7 @@ from ggdr.dataio import (
 )
 from ggdr.errors import DataFormatError, DimensionMismatch, NumericalHealthWarning
 from ggdr.manifold import MappingMatrix, orthonormalize, random_point
-from ggdr.pipeline import SynthParams, build_subspace, synth_dataset
+from ggdr.pipeline import LabeledDataset, SynthParams, build_subspace, synth_dataset
 
 # one example per call reuses the test's tmp_path; each overwrites its file
 REUSE_TMP = settings(
@@ -234,6 +234,37 @@ class TestDatasetRoundTrip:
         assert tuple(str(l) for l in ds.labels) == loaded.labels
         assert loaded.provenance == ds.provenance
         assert np.abs(ds.bases - loaded.bases).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "index, pid, label",
+        [
+            (2, "# c", "A"),  # the loader would skip the line as a comment
+            (2, "  #c", "A"),
+            (1, "", "#A"),
+            (1, "a\tb", "A"),
+            (3, "a\nb", "A"),
+            (0, "a\rb", "A"),
+            (2, "c", "A\tB"),
+            (2, "c", "A\nB"),
+        ],
+    )
+    def test_unreadable_id_or_label_rejected_before_writing(
+        self, tmp_path, index, pid, label
+    ):
+        ds = synth_dataset(SynthParams(2, 2, 8, 2, 0.2, 4))
+        ids, labels = list(ds.provenance), list(ds.labels)
+        ids[index], labels[index] = pid, label
+        bad = LabeledDataset(ds.bases, labels, ids)
+        with pytest.raises(DataFormatError, match=f"sample {index} "):
+            save_dataset(tmp_path / "ds", bad)
+        assert not (tmp_path / "ds").exists()
+
+    def test_ids_with_blanks_and_inner_hash_round_trip(self, tmp_path):
+        ds = synth_dataset(SynthParams(2, 2, 8, 2, 0.2, 4))
+        odd = LabeledDataset(ds.bases, ["#A", "A", "B", "B"], [" s 0", "s#1", "s,2", "s3 "])
+        save_dataset(tmp_path / "ds", odd)
+        loaded = load_dataset(tmp_path / "ds")
+        assert (loaded.provenance, loaded.labels) == (odd.provenance, odd.labels)
 
     def test_bases_loaded_into_one_stack(self, tmp_path):
         save_dataset(tmp_path / "ds", synth_dataset(SynthParams(2, 3, 8, 2, 0.2, 4)))

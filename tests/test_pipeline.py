@@ -7,9 +7,7 @@ from ggdr import manifold
 from ggdr.affinity import AffinityGraph
 from ggdr.dataio import load_dataset, save_dataset
 from ggdr.errors import (
-    DegenerateClass,
     EmptyTrainingSet,
-    InvalidGrid,
     InvalidShape,
     NumericalHealthWarning,
     RankDeficient,
@@ -35,7 +33,6 @@ from ggdr.pipeline import (
     evaluate,
     fit,
     gradient_check,
-    grid_search,
     nn_classify,
     pairwise_dissimilarity,
     synth_dataset,
@@ -43,7 +40,6 @@ from ggdr.pipeline import (
 from oracles import random_orthogonal
 
 ALL_KINDS = list(MeasureKind)
-FAST_OPTS = OptimOptions(max_iter=30)
 
 
 def tiny_dataset(seed=0, classes=3, per=4, d_ambient=10, order=2, noise=0.15):
@@ -417,35 +413,6 @@ class TestBlockwisePairTable:
             assert block_spans == [(0, 2), (2, 4), (4, 5)]
             assert indices == [0, 1, 2, 3, 0]
             assert nn_classify(train, probes, kind) == list("abcda")
-
-
-class TestGridSearch:
-    def test_single_cell(self):
-        ds = tiny_dataset(seed=10, per=6)
-        res = grid_search(ds, folds=2, dims=[4], kbs=[1], kind=MeasureKind.PROJECTION_SQ, opts=FAST_OPTS)
-        assert res.best_dim == 4 and res.best_kb == 1
-        assert set(res.cell_accuracies) == {(4, 1)}
-
-    def test_duplicate_dims_deterministic(self):
-        ds = tiny_dataset(seed=11, per=6)
-        res1 = grid_search(ds, 2, [4, 5], [1], MeasureKind.PROJECTION_SQ, opts=FAST_OPTS)
-        res2 = grid_search(ds, 2, [4, 5], [1], MeasureKind.PROJECTION_SQ, opts=FAST_OPTS)
-        assert res1.cell_accuracies == res2.cell_accuracies
-        assert (res1.best_dim, res1.best_kb) == (res2.best_dim, res2.best_kb)
-
-    def test_invalid_grid(self):
-        ds = tiny_dataset(seed=12, per=6)
-        with pytest.raises(InvalidGrid):
-            grid_search(ds, 2, [1], [1], MeasureKind.PROJECTION_SQ)
-        with pytest.raises(InvalidGrid):
-            grid_search(ds, 2, [10], [1], MeasureKind.PROJECTION_SQ)
-        with pytest.raises(InvalidGrid):
-            grid_search(ds, 1, [4], [1], MeasureKind.PROJECTION_SQ)
-
-    def test_class_smaller_than_folds(self):
-        ds = tiny_dataset(seed=13, per=3)
-        with pytest.raises(DegenerateClass):
-            grid_search(ds, 4, [4], [1], MeasureKind.PROJECTION_SQ)
 
 
 class TestGradientCheck:
