@@ -54,19 +54,35 @@ BOOLEANS = {
     **dict.fromkeys(("1", "true", "yes", "on"), True),
     **dict.fromkeys(("0", "false", "no", "off"), False),
 }
+
+
+def _boolean(raw: str) -> bool:
+    if raw.lower() not in BOOLEANS:
+        raise ValueError(f"expected one of {', '.join(BOOLEANS)}")
+    return BOOLEANS[raw.lower()]
+
+
+def _period(raw: str) -> int | None:
+    return None if raw == "auto" else int(raw)
+
+
 # the parameters train reads, each from a flag or a config line of the same
-# name; the only list of them: (cast, default, help)
+# name; the only list of them: (cast of the flag's or line's text, default, help)
 TRAIN_KEYS = {
     "kw": (int, None, "within-class neighbors (default: min class size - 1)"),
     "kb": (int, 1, "between-class neighbors (default 1)"),
     "seed": (int, 0, "seed for --init random (default 0)"),
     "init": (str, "identity", "identity (default) or random"),
-    "literal-similarity": (bool, False, "keep the raw sign of similarity-like measures"),
+    "literal-similarity": (
+        _boolean, False, "keep the raw sign of similarity-like measures"
+    ),
     "max-iter": (int, OptimOptions.max_iter, "CG iteration limit"),
     "rel-tol": (float, OptimOptions.rel_cost_tol, "relative cost-drop tolerance"),
     "grad-tol": (float, OptimOptions.grad_norm_tol, "gradient-norm tolerance"),
     "beta-rule": (str, OptimOptions.beta_rule.value, "CG beta: pr+ (default) or fr"),
-    "restart": (int, OptimOptions.restart_period, "CG restart period (default d(D-d))"),
+    "restart": (
+        _period, OptimOptions.restart_period, "CG restart period, or auto: d(D-d)"
+    ),
 }
 
 
@@ -87,25 +103,21 @@ def _parse_config(path) -> dict:
 
 
 def _resolve(args, key: str):
-    """Flag value if given, else config value, else the TRAIN_KEYS default."""
+    """Flag value if given, else config value, else the TRAIN_KEYS default.
+
+    Both a flag and a config line arrive as text and are cast here, so a bad
+    value fails the same way by either route.
+    """
     cast, default, _ = TRAIN_KEYS[key]
-    flag_value = getattr(args, key.replace("-", "_"))
-    if flag_value is not None:
-        return flag_value
-    config = getattr(args, "_config", {})
-    if key in config:
-        raw = config[key]
-        if cast is bool:
-            if raw.lower() not in BOOLEANS:
-                raise ValidationError(
-                    f"config value {key}={raw!r}: expected one of {', '.join(BOOLEANS)}"
-                )
-            return BOOLEANS[raw.lower()]
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ValidationError(f"config value {key}={raw!r}: {exc}") from exc
-    return default
+    raw = getattr(args, key.replace("-", "_"))
+    if raw is None:
+        raw = args._config.get(key)
+    if raw is None:
+        return default
+    try:
+        return cast(raw)
+    except ValueError as exc:
+        raise ValidationError(f"{key}={raw!r}: {exc}") from exc
 
 
 def _metric(code: str) -> MeasureKind:
@@ -290,10 +302,10 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--trace", help="output CSV for the optimization trace")
     t.add_argument("--graph-out", help="output CSV for the affinity graph")
     for key, (cast, _, help_text) in TRAIN_KEYS.items():
-        if cast is bool:
-            t.add_argument(f"--{key}", action="store_const", const=True, help=help_text)
+        if cast is _boolean:
+            t.add_argument(f"--{key}", action="store_const", const="1", help=help_text)
         else:
-            t.add_argument(f"--{key}", type=cast, help=help_text)
+            t.add_argument(f"--{key}", help=help_text)
     t.add_argument("--config", help="line-oriented config file")
     t.set_defaults(func=cmd_train)
 

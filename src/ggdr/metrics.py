@@ -18,6 +18,12 @@ Each measure is defined once, in ``_TABLE``, as a function of ||A||_F^2 or
 case; ``tests/oracles.py`` holds the independent closed forms. Every pair has
 a gradient, through the adjugate of A where |det A| is differentiated.
 
+A nearest-neighbour search needs |det A| only where a pair can win its row.
+Hadamard's inequality |det A| <= prod_i ||A_{i,:}|| bounds every determinant
+measure from one contraction of the products; ``nearest_measures`` takes
+LU determinants only for pairs whose bound, widened by HADAMARD_RTOL, can
+reach the exact measure of the row's best-bound pair.
+
 Gradients are taken with respect to the orthonormal representatives and
 pulled back through the positive-diagonal QR factorization to the mapped
 (pre-normalization) matrices, then to the map itself. Everything works on
@@ -37,6 +43,9 @@ from .manifold import RANK_RTOL
 
 # the Fubini-Study slope is clamped to |det A| <= 1 - DET_TOL
 DET_TOL = 1e-12
+
+# a computed |det A| stays within Hadamard's bound widened by this, relative
+HADAMARD_RTOL = 1e-12
 
 # objective's pair chunks take about this many bytes, pipeline's row blocks of
 # products four times as many
@@ -146,6 +155,48 @@ def _invariant(kind: MeasureKind, a: np.ndarray, axes=(-2, -1)) -> np.ndarray:
         every = list(range(a.ndim))
         s = np.einsum(a, every, a, every, [i for i in every if i not in axes])
     return np.where(s == np.inf, np.nan, s)
+
+
+def hadamard_bound(a: np.ndarray, axes=(-2, -1)) -> np.ndarray:
+    """prod_i ||A_{i,:}|| >= |det A| (Hadamard) of each n x n matrix A whose
+    rows and columns run along ``axes`` of a, as in ``_invariant``.
+
+    LU's |det A| and this product each carry roundoff, so a computed |det A|
+    is held to the bound widened by HADAMARD_RTOL.
+    """
+    rows, cols = (ax % a.ndim for ax in axes)
+    every = list(range(a.ndim))
+    kept = [i for i in every if i != cols]  # squared row norms, in a's layout
+    squares = np.einsum(a, every, a, every, kept)
+    return np.sqrt(np.prod(squares, axis=kept.index(rows)))
+
+
+def nearest_measures(kind: MeasureKind, a: np.ndarray) -> np.ndarray:
+    """``pair_measures`` of a GEMM block (k, n, M, n), axes (1, 3), taken
+    only where a pair can still be its row's nearest neighbour.
+
+    For ``fs``, ``bc`` and ``bck`` each row's pair of largest Hadamard bound
+    is measured first, giving v0. A pair whose widened bound, mapped through
+    the measure's monotone f, is strictly worse than v0 cannot reach v0, let
+    alone beat it, and reads as the worst value (+inf for a distance, -inf
+    for a similarity). Every other pair, NaN bounds included, is measured as
+    ``pair_measures`` would, so an argmin/argmax of the result and its ties
+    to the first index are those of the full block. ``p`` and ``pk`` cost no
+    determinant and are measured in full.
+    """
+    if kind.value in _FROBENIUS:
+        return pair_measures(kind, a, axes=(1, 3))
+    value = _TABLE[kind.value][0]
+    k, n, m, _ = a.shape
+    bound = hadamard_bound(a, axes=(1, 3))
+    v0 = pair_measures(kind, a[np.arange(k), :, np.argmax(bound, axis=1), :])
+    reach = value(bound * (1.0 + HADAMARD_RTOL), n)
+    similarity = kind.orientation is Orientation.SIMILARITY_LIKE
+    worse = np.less if similarity else np.greater
+    rows, cols = np.nonzero(~worse(reach, v0[:, None]))
+    out = np.full((k, m), -np.inf if similarity else np.inf)
+    out[rows, cols] = pair_measures(kind, a[rows, :, cols, :])
+    return out
 
 
 def pair_measures(kind: MeasureKind, a: np.ndarray, axes=(-2, -1)) -> np.ndarray:

@@ -34,6 +34,7 @@ from .metrics import (  # noqa: F401
     Orientation,
     health_counters,
     measure,
+    nearest_measures,
     pair_measures,
 )
 from .objective import Problem, cost, euclidean_grad, reduce_point  # noqa: F401
@@ -177,15 +178,18 @@ def build_subspace(features: np.ndarray, order: int) -> GrassmannPoint:
     return GrassmannPoint(basis)
 
 
-def _measure_blocks(kind: MeasureKind, left, right, upper: bool = False):
+def _measure_blocks(
+    kind: MeasureKind, left, right, upper: bool = False, nearest: bool = False
+):
     """Yield (a, b, values[k, m] = measure(left[a + k], right[m])) by row block.
 
     ``right`` is copied once into a (D, M n) matrix, so a block's products
     are one GEMM, ((b - a) n x D)(D x M n), laid out as (b - a, n, M, n) and
     reduced in that layout. With ``upper`` (left is right) the rows are read
     from that copy and the columns start at a: only pairs on or above the
-    diagonal. A block's rows and its products take about 4 PAIR_BLOCK_BYTES
-    each.
+    diagonal. With ``nearest``, pairs that cannot be their row's nearest
+    neighbour read as the worst value (``metrics.nearest_measures``). A
+    block's rows and its products take about 4 PAIR_BLOCK_BYTES each.
     """
     count, ambient, order = left.shape
     cols = right.transpose(1, 0, 2).reshape(ambient, len(right) * order)
@@ -197,7 +201,11 @@ def _measure_blocks(kind: MeasureKind, left, right, upper: bool = False):
         else:
             start, rows = 0, left[a:b].mT.reshape((b - a) * order, ambient)
         prods = rows @ cols[:, start * order :]
-        values = pair_measures(kind, prods.reshape(b - a, order, -1, order), axes=(1, 3))
+        prods = prods.reshape(b - a, order, -1, order)
+        if nearest:
+            values = nearest_measures(kind, prods)
+        else:
+            values = pair_measures(kind, prods, axes=(1, 3))
         del rows, prods  # neither lives on into the next block's GEMM
         yield a, b, values
 
@@ -235,7 +243,13 @@ def pairwise_dissimilarity(samples, kind: MeasureKind) -> np.ndarray:
 
 
 def _nn_predict(train: LabeledDataset, test_samples, kind: MeasureKind):
-    """Labels, training indices, and measure values of each nearest neighbor."""
+    """Labels, training indices, and measure values of each nearest neighbor.
+
+    For fs, bc and bck only the pairs whose Hadamard bound, widened by
+    HADAMARD_RTOL, can reach their row's best are measured
+    (``metrics.nearest_measures``); the answers and their ties to the lowest
+    index are those of every pair measured.
+    """
     test, bases = _bases(test_samples), train.bases
     if not len(test):
         return [], [], []
@@ -246,7 +260,7 @@ def _nn_predict(train: LabeledDataset, test_samples, kind: MeasureKind):
     pick = np.argmax if kind.orientation is Orientation.SIMILARITY_LIKE else np.argmin
     indices = np.empty(len(test), dtype=np.int64)
     values = np.empty(len(test))
-    for a, b, block in _measure_blocks(kind, test, bases):
+    for a, b, block in _measure_blocks(kind, test, bases, nearest=True):
         indices[a:b] = pick(block, axis=1)  # first index on ties
         values[a:b] = block[np.arange(b - a), indices[a:b]]
     indices = indices.tolist()

@@ -5,6 +5,8 @@ import pytest
 
 from ggdr import cli, pipeline
 from ggdr.cli import main
+from ggdr.dataio import load_dataset, load_mapping
+from ggdr.metrics import MeasureKind, measure
 
 
 def run(args):
@@ -258,6 +260,60 @@ class TestTrain:
         assert header["flag"] == header["config"] == [f"# {key}={shown}"]
         assert maps["flag"] == maps["config"]
 
+    @pytest.mark.parametrize(
+        "key", [key for key, (cast, _, _) in cli.TRAIN_KEYS.items() if cast is not str]
+    )
+    def test_bad_typed_value_is_one_error_line_by_either_route(
+        self, tmp_path, dataset_dir, capsys, key
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = x\n")
+        routes = [["--config", cfg]]
+        if cli.TRAIN_KEYS[key][0] is not cli._boolean:  # a bare flag takes no value
+            routes.append(["--" + key, "x"])
+        errors = []
+        for extra in routes:
+            assert run([
+                "train", "--data", dataset_dir, "--metric", "p", "--dim", 4,
+                "--order", 2, "--out", tmp_path / "w.csv", *extra,
+            ]) == 2
+            errors.append(capsys.readouterr().err.splitlines())
+        assert len(errors[0]) == 1 and errors[0][0].startswith(f"error: {key}='x': ")
+        assert errors[-1] == errors[0]
+        assert not (tmp_path / "w.csv").exists()
+
+    def test_trace_header_fed_back_as_config_gives_the_same_map(
+        self, tmp_path, dataset_dir
+    ):
+        # the header's train parameters, restart=auto among them, as a config
+        common = ["train", "--data", dataset_dir, "--metric", "bc", "--dim", 4]
+        trace = tmp_path / "t.csv"
+        assert run([
+            *common, "--out", tmp_path / "w.csv", "--trace", trace,
+            "--init", "random", "--seed", 5, "--max-iter", 4, "--beta-rule", "fr",
+        ]) == 0
+        lines = [
+            line[2:].replace("=", " = ", 1)
+            for line in trace.read_text().splitlines()
+            if line.startswith("# ") and line[2:].split("=")[0] in cli.TRAIN_KEYS
+        ]
+        assert "restart = auto" in lines and len(lines) == len(cli.TRAIN_KEYS)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        assert run([*common, "--out", tmp_path / "w2.csv", "--config", cfg]) == 0
+        assert (tmp_path / "w2.csv").read_bytes() == (tmp_path / "w.csv").read_bytes()
+
+    def test_restart_auto_flag(self, tmp_path, dataset_dir):
+        maps = []
+        for extra in ([], ["--restart", "auto"]):
+            out = tmp_path / f"w{len(maps)}.csv"
+            assert run([
+                "train", "--data", dataset_dir, "--metric", "p", "--dim", 4,
+                "--order", 2, "--out", out, "--max-iter", 3, *extra,
+            ]) == 0
+            maps.append(out.read_bytes())
+        assert maps[0] == maps[1]
+
     def test_default_trace_header(self, tmp_path, dataset_dir):
         trace = tmp_path / "t.csv"
         assert run([
@@ -340,11 +396,11 @@ class TestEval:
         passes = []
         nn_predict = cli._nn_predict
 
-        def counted(*args):
-            passes.append(1)
-            return nn_predict(*args)
+        def kept(*args):
+            passes.append(nn_predict(*args))
+            return passes[-1]
 
-        monkeypatch.setattr(cli, "_nn_predict", counted)
+        monkeypatch.setattr(cli, "_nn_predict", kept)
         preds = tmp_path / "preds.csv"
         assert run([
             "eval", "--train", dataset_dir, "--test", dataset_dir,
@@ -352,8 +408,14 @@ class TestEval:
         ]) == 0
         assert len(passes) == 1
         printed = float(capsys.readouterr().out.split("accuracy=")[1])
-        rows = [line.split(",") for line in preds.read_text().splitlines()[1:]]
+        with open(preds, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
         assert printed == sum(r[1] == r[2] for r in rows) / len(rows)
+        # each nn_distance is the per-pair measure of the neighbour found
+        ds = pipeline._reduce_dataset(load_dataset(dataset_dir), load_mapping(w))
+        for row, sample, index in zip(rows, ds.samples, passes[0][1]):
+            kind = MeasureKind.BINET_CAUCHY_DIST_SQ
+            assert row[3] == repr(measure(kind, sample, ds.samples[index]))
 
     def test_preds_plain_bytes(self, tmp_path, dataset_dir, monkeypatch):
         passes = []

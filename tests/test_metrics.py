@@ -10,9 +10,11 @@ from ggdr.errors import (
 )
 from ggdr.manifold import GrassmannPoint, orthonormalize, qr_with_inverse, random_point
 from ggdr.metrics import (
+    HADAMARD_RTOL,
     MeasureKind,
     Orientation,
     btril,
+    hadamard_bound,
     health_counters,
     measure,
     measure_grad,
@@ -312,6 +314,43 @@ class TestPairMeasureGrads:
         ])
         assert np.abs(cof).max() > 0.1
         assert min(rel_error(da, -2.0 * cof), rel_error(da, 2.0 * cof)) <= 1e-12
+
+
+class TestHadamardBound:
+    @given(
+        order=st.integers(min_value=1, max_value=8),
+        shape=st.sampled_from(["random", "orthogonal-rows", "scaled-rows"]),
+        log_scale=st.floats(min_value=-16.0, max_value=0.0),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_det_never_exceeds_the_widened_bound(self, order, shape, log_scale, seed):
+        # products of orthonormal bases: random ones, D O with D diagonal
+        # (Hadamard's equality case), and the same with one row scaled
+        # towards 0 and a little noise, a near-singular product
+        rng = np.random.default_rng(seed)
+        d_ambient = order + 1 + seed % 8
+        q1 = orthonormalize(rng.standard_normal((d_ambient, order)))[0]
+        if shape == "random":
+            q2 = orthonormalize(rng.standard_normal((d_ambient, order)))[0]
+            a = q1.T @ q2
+        else:
+            a = rng.uniform(0.0, 1.0, (order, 1)) * random_orthogonal(order, rng)
+            if shape == "scaled-rows":
+                a[0] *= 10.0**log_scale
+                a += 1e-17 * rng.standard_normal(a.shape)
+        bound = hadamard_bound(a[None])[0]
+        assert abs(np.linalg.det(a)) <= bound * (1.0 + HADAMARD_RTOL)
+        if shape == "orthogonal-rows":
+            assert abs(np.linalg.det(a)) == pytest.approx(bound, rel=1e-14)
+
+    def test_gemm_block_layout(self, rng):
+        # a (k, n, M, n) block with axes (1, 3) bounds the same matrices as
+        # its (k, M, n, n) transpose
+        block = rng.standard_normal((3, 4, 5, 4))
+        stacked = hadamard_bound(block.transpose(0, 2, 1, 3))
+        assert_allclose(hadamard_bound(block, axes=(1, 3)), stacked, rtol=1e-15)
+        assert stacked.shape == (3, 5)
 
 
 class TestTriangularMasks:

@@ -2,6 +2,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ggdr import manifold
 from ggdr.affinity import AffinityGraph
@@ -20,7 +21,8 @@ from ggdr.manifold import (
     orthonormalize,
     random_point,
 )
-from ggdr.metrics import MeasureKind, PairGradient, measure
+from ggdr import metrics
+from ggdr.metrics import MeasureKind, Orientation, PairGradient, measure
 from ggdr.objective import Problem
 from ggdr import pipeline
 from ggdr.optimizer import OptimOptions
@@ -40,6 +42,11 @@ from ggdr.pipeline import (
 from oracles import random_orthogonal
 
 ALL_KINDS = list(MeasureKind)
+DET_KINDS = [
+    MeasureKind.FUBINI_STUDY,
+    MeasureKind.BINET_CAUCHY_DIST_SQ,
+    MeasureKind.BINET_CAUCHY_KERNEL,
+]
 
 
 def tiny_dataset(seed=0, classes=3, per=4, d_ambient=10, order=2, noise=0.15):
@@ -413,6 +420,99 @@ class TestBlockwisePairTable:
             assert block_spans == [(0, 2), (2, 4), (4, 5)]
             assert indices == [0, 1, 2, 3, 0]
             assert nn_classify(train, probes, kind) == list("abcda")
+
+
+def nearest_case(case: str, seed: int):
+    """(train, test) bases on G(n, D) whose products stress the pruned search.
+
+    ties: duplicate training samples and a sample X O (O orthogonal), probed
+    by training samples themselves. orthogonal-rows: every product is
+    diag(cos theta) O, where Hadamard's bound holds with equality.
+    near-singular: one probe direction nearly orthogonal to every training
+    subspace, so every product of that probe has a tiny row.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    d_ambient = 3 * n + 3
+    if case == "ties":
+        base, _ = orthonormalize(rng.standard_normal((6, d_ambient, n)))
+        o = random_orthogonal(n, rng)
+        train = np.concatenate([base, base[[1]], base[[3]] @ o])
+        train = train[rng.permutation(len(train))]
+        test, _ = orthonormalize(rng.standard_normal((3, d_ambient, n)))
+        return train, np.concatenate([base[[1, 3, 0]], test])
+    if case == "orthogonal-rows":
+        e = np.eye(d_ambient)
+        blocks = (e[:, :n], e[:, n : 2 * n])
+        train = np.stack(
+            [blocks[k % 2] @ random_orthogonal(n, rng) for k in range(8)]
+        )
+        theta = rng.uniform(0.0, np.pi / 2, (5, 1, n))
+        theta[0] = theta[1]  # two probes alike: ties across rows too
+        test = np.cos(theta) * blocks[0] + np.sin(theta) * blocks[1]
+        return train, test
+    assert case == "near-singular"
+    half = d_ambient // 2
+    inner, _ = orthonormalize(rng.standard_normal((10, half, n)))
+    train = np.concatenate([inner, np.zeros((10, d_ambient - half, n))], axis=1)
+    test = rng.standard_normal((6, d_ambient, n))
+    test[:, :half, 0] *= 10.0 ** rng.uniform(-16.0, -4.0, (6, 1))
+    test, _ = orthonormalize(test)
+    return train, test
+
+
+class TestNearestPruned:
+    """Only pairs that can win a row are measured; the answer is unchanged."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        case=st.sampled_from(["ties", "orthogonal-rows", "near-singular"]),
+        kind=st.sampled_from(DET_KINDS),
+        row_block=st.sampled_from([None, 1, 2]),
+    )
+    def test_matches_every_pair_measured(self, seed, case, kind, row_block):
+        train, test = nearest_case(case, seed)
+        ds = LabeledDataset(train, range(len(train)), map(str, range(len(train))))
+        # a block takes 4 PAIR_BLOCK_BYTES; a row of it 8 n max(D, M n) bytes
+        count, d_ambient, n = train.shape
+        row_bytes = 8 * n * max(d_ambient, count * n)
+        similarity = kind.orientation is Orientation.SIMILARITY_LIKE
+        pick = np.argmax if similarity else np.argmin
+        with pytest.MonkeyPatch.context() as mp:
+            if row_block is not None:  # blocks of row_block test samples
+                mp.setattr(pipeline, "PAIR_BLOCK_BYTES", row_block * row_bytes // 4)
+            _, indices, values = pipeline._nn_predict(ds, test, kind)
+            table = np.concatenate(
+                [v for _, _, v in pipeline._measure_blocks(kind, test, train)]
+            )
+        best = pick(table, axis=1)
+        assert indices == best.tolist()
+        assert values == table[np.arange(len(test)), best].tolist()
+        # one pair at a time, the products differ from the GEMM's in roundoff,
+        # which arccos near |det A| = 1 magnifies: fs is compared as |det A|
+        near = np.cos if kind is MeasureKind.FUBINI_STUDY else float
+        for t, index, value in zip(test, indices, values):
+            per_pair = [measure(kind, t, x) for x in train]
+            for v in (per_pair[index], per_pair[pick(per_pair)]):
+                assert near(value) == pytest.approx(near(v), rel=0, abs=4e-15)
+            # a probe with two copies in the training set finds the first
+            copies = [i for i, x in enumerate(train) if (x == t).all()]
+            if len(copies) > 1:
+                assert index == copies[0]
+
+    def test_pairs_that_cannot_win_read_as_the_worst_value(self):
+        # the probe is training sample 2; the others are orthogonal to it, so
+        # their Hadamard bounds are 0 and no determinant is taken for them
+        e = np.eye(10)
+        train = np.stack([e[:, 2 * k : 2 * k + 2] for k in range(5)])
+        cols = train.transpose(1, 0, 2).reshape(10, -1)
+        block = (train[2].T @ cols).reshape(1, 2, 5, 2)
+        for kind in DET_KINDS:
+            worst = -np.inf if kind is MeasureKind.BINET_CAUCHY_KERNEL else np.inf
+            values = metrics.nearest_measures(kind, block)[0]
+            assert values[2] == metrics.pair_measures(kind, block, axes=(1, 3))[0, 2]
+            assert values[[0, 1, 3, 4]].tolist() == [worst] * 4
 
 
 class TestGradientCheck:
