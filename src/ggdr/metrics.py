@@ -13,10 +13,13 @@ The first four shrink to 0 as subspaces coincide; the kernel grows to 1, so
 it carries a similarity orientation that callers must account for.
 
 Each measure is defined once, in ``_TABLE``, as a function of ||A||_F^2 or
-|det A|, and runs on stacks of products in ``pair_measures`` and
-``pair_measure_grads``. ``measure`` and ``measure_grad`` are their one-pair
-case; ``tests/oracles.py`` holds the independent closed forms. Every pair has
-a gradient, through the adjugate of A where |det A| is differentiated.
+|det A|, which ``_invariant`` alone computes. Every function here takes its
+products as one layout, a stack (..., n, n): the objective's (P, n, n) pair
+chunks, or a view (b, M, n, n) of a row block's GEMM. ``measure`` and
+``measure_grad`` are the one-pair case of ``pair_measures`` and
+``pair_measure_grads``; ``tests/oracles.py`` holds the independent closed
+forms. Every pair has a gradient, through the adjugate of A where |det A| is
+differentiated.
 
 A nearest-neighbour search needs |det A| only where a pair can win its row.
 Hadamard's inequality |det A| <= prod_i ||A_{i,:}|| bounds every determinant
@@ -141,39 +144,32 @@ _TABLE = {
 }
 
 
-def _invariant(kind: MeasureKind, a: np.ndarray, axes=(-2, -1)) -> np.ndarray:
-    """||A||_F^2 or |det A| of each n x n matrix A whose rows and columns run
-    along ``axes`` of a (given as nonnegative indices unless the default).
+def _invariant(kind: MeasureKind, a: np.ndarray):
+    """(s, det) of each product A in a stack (..., n, n): s = ||A||_F^2 with
+    det None for p and pk, s = |det A| with det A (one LU) for the others.
 
-    An infinite invariant is returned as NaN, which every clamp passes on.
+    An infinite s is returned as NaN, which every clamp passes on.
     """
-    if kind.value not in _FROBENIUS:
-        s = np.abs(np.linalg.det(np.moveaxis(a, axes, (-2, -1))))
-    elif axes == (-2, -1):
-        s = np.sum(a * a, axis=axes)
-    else:  # in a's own layout, and without a squared copy of a
-        every = list(range(a.ndim))
-        s = np.einsum(a, every, a, every, [i for i in every if i not in axes])
-    return np.where(s == np.inf, np.nan, s)
+    if kind.value in _FROBENIUS:
+        det, s = None, np.einsum("...ij,...ij->...", a, a)
+    else:
+        det = np.linalg.det(a)
+        s = np.abs(det)
+    return np.where(s == np.inf, np.nan, s), det
 
 
-def hadamard_bound(a: np.ndarray, axes=(-2, -1)) -> np.ndarray:
-    """prod_i ||A_{i,:}|| >= |det A| (Hadamard) of each n x n matrix A whose
-    rows and columns run along ``axes`` of a, as in ``_invariant``.
+def hadamard_bound(a: np.ndarray) -> np.ndarray:
+    """prod_i ||A_{i,:}|| >= |det A| (Hadamard) of each A in a stack (..., n, n).
 
     LU's |det A| and this product each carry roundoff, so a computed |det A|
     is held to the bound widened by HADAMARD_RTOL.
     """
-    rows, cols = (ax % a.ndim for ax in axes)
-    every = list(range(a.ndim))
-    kept = [i for i in every if i != cols]  # squared row norms, in a's layout
-    squares = np.einsum(a, every, a, every, kept)
-    return np.sqrt(np.prod(squares, axis=kept.index(rows)))
+    return np.sqrt(np.prod(np.einsum("...ij,...ij->...i", a, a), axis=-1))
 
 
 def nearest_measures(kind: MeasureKind, a: np.ndarray) -> np.ndarray:
-    """``pair_measures`` of a GEMM block (k, n, M, n), axes (1, 3), taken
-    only where a pair can still be its row's nearest neighbour.
+    """``pair_measures`` of a block (k, M, n, n), taken only where a pair can
+    still be its row's nearest neighbour.
 
     For ``fs``, ``bc`` and ``bck`` each row's pair of largest Hadamard bound
     is measured first, giving v0. A pair whose widened bound, mapped through
@@ -185,28 +181,23 @@ def nearest_measures(kind: MeasureKind, a: np.ndarray) -> np.ndarray:
     determinant and are measured in full.
     """
     if kind.value in _FROBENIUS:
-        return pair_measures(kind, a, axes=(1, 3))
+        return pair_measures(kind, a)
     value = _TABLE[kind.value][0]
-    k, n, m, _ = a.shape
-    bound = hadamard_bound(a, axes=(1, 3))
-    v0 = pair_measures(kind, a[np.arange(k), :, np.argmax(bound, axis=1), :])
+    k, m, n, _ = a.shape
+    bound = hadamard_bound(a)
+    v0 = pair_measures(kind, a[np.arange(k), np.argmax(bound, axis=1)])
     reach = value(bound * (1.0 + HADAMARD_RTOL), n)
     similarity = kind.orientation is Orientation.SIMILARITY_LIKE
     worse = np.less if similarity else np.greater
     rows, cols = np.nonzero(~worse(reach, v0[:, None]))
     out = np.full((k, m), -np.inf if similarity else np.inf)
-    out[rows, cols] = pair_measures(kind, a[rows, :, cols, :])
+    out[rows, cols] = pair_measures(kind, a[rows, cols])
     return out
 
 
-def pair_measures(kind: MeasureKind, a: np.ndarray, axes=(-2, -1)) -> np.ndarray:
-    """The measure of every product A = Q1^T Q2 in a stack (..., n, n).
-
-    With ``axes``, A's rows and columns run along those two axes of a, as in
-    a GEMM block (k, n, M, n) with axes (1, 3); the result has a's other
-    axes, (k, M) there.
-    """
-    return _TABLE[kind.value][0](_invariant(kind, a, axes), a.shape[axes[1]])
+def pair_measures(kind: MeasureKind, a: np.ndarray) -> np.ndarray:
+    """The measure of every product A = Q1^T Q2 in a stack (..., n, n)."""
+    return _TABLE[kind.value][0](_invariant(kind, a)[0], a.shape[-1])
 
 
 def pair_measure_grads(kind: MeasureKind, a: np.ndarray):
@@ -216,18 +207,17 @@ def pair_measure_grads(kind: MeasureKind, a: np.ndarray):
     d|det A|/dA = sign(det A) adj(A)^T (0 at the kink det A = 0), adj(A) by
     the Faddeev-LeVerrier recursion, with no inverse. Its error against the
     SVD adjugate grows with n: 1e-14 relative for n <= 6, 3e-14 at n = 8,
-    2e-13 at 12, 6e-12 at 16. One LU gives |det A| and its sign, so values
-    equal ``pair_measures`` bit for bit. NaN or +-inf in A gives NaN values
-    and gradients. The Fubini-Study slope is clamped away from |det A| = 1
-    (coincident subspaces), counted under ``fubini_study_grad_clamped``.
+    2e-13 at 12, 6e-12 at 16. The invariant and det A come from
+    ``_invariant``, as for ``pair_measures``, so values equal it bit for
+    bit. NaN or +-inf in A gives NaN values and gradients. The Fubini-Study
+    slope is clamped away from |det A| = 1 (coincident subspaces), counted
+    under ``fubini_study_grad_clamped``.
     """
     value, slope = _TABLE[kind.value]
     n = a.shape[-1]
-    if kind.value in _FROBENIUS:
-        s = _invariant(kind, a)
+    s, det = _invariant(kind, a)
+    if det is None:
         return value(s, n), 2.0 * np.reshape(slope(s), (-1, 1, 1)) * a
-    det = np.linalg.det(a)
-    s = np.where(np.isinf(det), np.nan, np.abs(det))
     if kind is MeasureKind.FUBINI_STUDY:
         _health["fubini_study_grad_clamped"] += int(np.sum(s > 1.0 - DET_TOL))
     # M_1 = I, M_{k+1} = A M_k - tr(A M_k)/k I, adj(A) = (-1)^(n+1) M_n

@@ -185,9 +185,9 @@ def _measure_blocks(
 
     ``right`` is copied once into a (D, M n) matrix, so a block's products
     are one GEMM, ((b - a) n x D)(D x M n), laid out as (b - a, n, M, n) and
-    reduced in that layout. With ``upper`` (left is right) the rows are read
-    from that copy and the columns start at a: only pairs on or above the
-    diagonal. With ``nearest``, pairs that cannot be their row's nearest
+    reduced through its (b - a, M, n, n) view, which copies nothing. With
+    ``upper`` (left is right) the rows are read from that copy and the
+    columns start at a: only pairs on or above the diagonal. With ``nearest``, pairs that cannot be their row's nearest
     neighbour read as the worst value (``metrics.nearest_measures``). A
     block's rows and its products take about 4 PAIR_BLOCK_BYTES each.
     """
@@ -201,11 +201,8 @@ def _measure_blocks(
         else:
             start, rows = 0, left[a:b].mT.reshape((b - a) * order, ambient)
         prods = rows @ cols[:, start * order :]
-        prods = prods.reshape(b - a, order, -1, order)
-        if nearest:
-            values = nearest_measures(kind, prods)
-        else:
-            values = pair_measures(kind, prods, axes=(1, 3))
+        prods = prods.reshape(b - a, order, -1, order).transpose(0, 2, 1, 3)
+        values = (nearest_measures if nearest else pair_measures)(kind, prods)
         del rows, prods  # neither lives on into the next block's GEMM
         yield a, b, values
 

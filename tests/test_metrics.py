@@ -152,13 +152,13 @@ class TestMeasureValues:
 
     def test_gemm_block_layout(self, rng):
         # products of 3 bases against 4 as one GEMM, laid out (3, n, 4, n):
-        # reduced in place over axes 1 and 3 they give the per-pair measures
+        # reduced through their (3, 4, n, n) view they give the per-pair measures
         left, _ = orthonormalize(rng.standard_normal((3, 9, 3)))
         right, _ = orthonormalize(rng.standard_normal((4, 9, 3)))
         block = left.mT.reshape(9, 9) @ right.transpose(1, 0, 2).reshape(9, 12)
-        block = block.reshape(3, 3, 4, 3)
+        block = block.reshape(3, 3, 4, 3).transpose(0, 2, 1, 3)
         for kind in ALL_KINDS:
-            values = pair_measures(kind, block, axes=(1, 3))
+            values = pair_measures(kind, block)
             assert values.shape == (3, 4)
             for i in range(3):
                 for j in range(4):
@@ -268,6 +268,26 @@ class TestPairMeasureGrads:
         assert clamps == (2 if kind is MeasureKind.FUBINI_STUDY else 0)
         assert np.isfinite(da[3:]).all()
 
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_values_are_pair_measures_bit_for_bit(self, kind):
+        # both read one invariant: a well-conditioned, an exactly singular, a
+        # coincident, a NaN and a +-inf product, as one stack
+        good = rand_pair(7, 3, 23)
+        coincident = random_point(7, 3, 24).basis
+        a = np.stack([
+            good[0].basis.T @ good[1].basis,
+            np.zeros((3, 3)),
+            coincident.T @ coincident,
+            np.full((3, 3), np.nan),
+            np.diag([np.inf, -np.inf, 1.0]),
+        ])
+        with np.errstate(invalid="ignore"):
+            values = pair_measure_grads(kind, a)[0]
+            expected = pair_measures(kind, a)
+        assert np.array_equal(values, expected, equal_nan=True)
+        assert np.isfinite(values[:3]).all()
+        assert np.isnan(values[3:]).all()
+
     @given(
         order=st.integers(min_value=1, max_value=8),
         log_det=st.floats(min_value=-12.0, max_value=-3.0),
@@ -345,11 +365,11 @@ class TestHadamardBound:
             assert abs(np.linalg.det(a)) == pytest.approx(bound, rel=1e-14)
 
     def test_gemm_block_layout(self, rng):
-        # a (k, n, M, n) block with axes (1, 3) bounds the same matrices as
-        # its (k, M, n, n) transpose
-        block = rng.standard_normal((3, 4, 5, 4))
-        stacked = hadamard_bound(block.transpose(0, 2, 1, 3))
-        assert_allclose(hadamard_bound(block, axes=(1, 3)), stacked, rtol=1e-15)
+        # the (k, M, n, n) view of a (k, n, M, n) block bounds the same
+        # matrices as a contiguous copy of that view
+        view = rng.standard_normal((3, 4, 5, 4)).transpose(0, 2, 1, 3)
+        stacked = hadamard_bound(np.ascontiguousarray(view))
+        assert_allclose(hadamard_bound(view), stacked, rtol=1e-15)
         assert stacked.shape == (3, 5)
 
 

@@ -507,11 +507,11 @@ class TestNearestPruned:
         e = np.eye(10)
         train = np.stack([e[:, 2 * k : 2 * k + 2] for k in range(5)])
         cols = train.transpose(1, 0, 2).reshape(10, -1)
-        block = (train[2].T @ cols).reshape(1, 2, 5, 2)
+        block = (train[2].T @ cols).reshape(1, 2, 5, 2).transpose(0, 2, 1, 3)
         for kind in DET_KINDS:
             worst = -np.inf if kind is MeasureKind.BINET_CAUCHY_KERNEL else np.inf
             values = metrics.nearest_measures(kind, block)[0]
-            assert values[2] == metrics.pair_measures(kind, block, axes=(1, 3))[0, 2]
+            assert values[2] == metrics.pair_measures(kind, block)[0, 2]
             assert values[[0, 1, 3, 4]].tolist() == [worst] * 4
 
 
