@@ -146,15 +146,10 @@ def cmd_train(args) -> int:
             )
     metric = _metric(args.metric)
     dim = args.dim
-    order = args.order
-    if dim < 1:
+    if dim < 1:  # a random init draws dim columns before Problem checks it
         raise ValidationError(f"--dim must be positive, got {dim}")
-    if order is not None and dim < order:
-        raise ValidationError(f"--dim {dim} smaller than --order {order}")
     given = {key: _resolve(args, key) for key in TRAIN_KEYS}
-    kw, kb, seed, init = given["kw"], given["kb"], given["seed"], given["init"]
-    if kb < 1 or (kw is not None and (kw < 1 or kb > kw)):
-        raise ValidationError(f"need 1 <= kb <= kw, got kw={kw}, kb={kb}")
+    seed, init = given["seed"], given["init"]
     if seed < 0:
         raise ValidationError(f"--seed must be nonnegative, got {seed}")
     if init not in ("identity", "random"):
@@ -172,12 +167,8 @@ def cmd_train(args) -> int:
         restart_period=given["restart"],
     )
 
-    ds = _load(args.data, order)
-    if dim < ds.order or dim > ds.ambient_dim:
-        raise ValidationError(
-            f"--dim {dim} outside [{ds.order}, {ds.ambient_dim}] for this dataset"
-        )
-
+    # Problem checks n < dim <= D, build_affinity kw and kb
+    ds = _load(args.data, args.order)
     w0 = None
     if init == "random":
         rng = np.random.default_rng(seed)
@@ -188,8 +179,8 @@ def cmd_train(args) -> int:
         ds,
         metric,
         target_dim=dim,
-        kw=kw,
-        kb=kb,
+        kw=given["kw"],
+        kb=given["kb"],
         opts=opts,
         w0=w0,
         sign_flip_similarity=not given["literal-similarity"],

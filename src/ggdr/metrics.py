@@ -21,11 +21,12 @@ chunks, or a view (b, M, n, n) of a row block's GEMM. ``measure`` and
 forms. Every pair has a gradient, through the adjugate of A where |det A| is
 differentiated.
 
-A nearest-neighbour search needs |det A| only where a pair can win its row.
-Hadamard's inequality |det A| <= prod_i ||A_{i,:}|| bounds every determinant
-measure from one contraction of the products; ``nearest_measures`` takes
-LU determinants only for pairs whose bound, widened by HADAMARD_RTOL, can
-reach the exact measure of the row's best-bound pair.
+Each measure is monotone in its invariant s, nearer as s grows, so a
+nearest-neighbour search ranks by s alone and needs |det A| only where a
+pair can win its row. Hadamard's inequality |det A| <= prod_i ||A_{i,:}||
+bounds every determinant from one contraction of the products;
+``nearest_invariants`` takes LU determinants only for pairs whose bound,
+widened by HADAMARD_RTOL, reaches the |det A| of the row's best-bound pair.
 
 Gradients are taken with respect to the orthonormal representatives and
 pulled back through the positive-diagonal QR factorization to the mapped
@@ -167,37 +168,36 @@ def hadamard_bound(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.prod(np.einsum("...ij,...ij->...i", a, a), axis=-1))
 
 
-def nearest_measures(kind: MeasureKind, a: np.ndarray) -> np.ndarray:
-    """``pair_measures`` of a block (k, M, n, n), taken only where a pair can
-    still be its row's nearest neighbour.
+def nearest_invariants(kind: MeasureKind, a: np.ndarray) -> np.ndarray:
+    """The invariant s of each product in a block (k, M, n, n) that can
+    still be its row's nearest neighbour, the largest s; -inf elsewhere.
 
-    For ``fs``, ``bc`` and ``bck`` each row's pair of largest Hadamard bound
-    is measured first, giving v0. A pair whose widened bound, mapped through
-    the measure's monotone f, is strictly worse than v0 cannot reach v0, let
-    alone beat it, and reads as the worst value (+inf for a distance, -inf
-    for a similarity). Every other pair, NaN bounds included, is measured as
-    ``pair_measures`` would, so an argmin/argmax of the result and its ties
-    to the first index are those of the full block. ``p`` and ``pk`` cost no
-    determinant and are measured in full.
+    ``p`` and ``pk`` cost no determinant: every pair gets its s. For ``fs``,
+    ``bc`` and ``bck`` each row's pair of largest Hadamard bound gives s0
+    first; a pair whose bound, widened by HADAMARD_RTOL, is below s0 cannot
+    reach it. Every other pair, NaN bounds included, gets its s from
+    ``_invariant``, so an argmax of the result and its ties to the first
+    index are those of the full block.
     """
     if kind.value in _FROBENIUS:
-        return pair_measures(kind, a)
-    value = _TABLE[kind.value][0]
-    k, m, n, _ = a.shape
+        return _invariant(kind, a)[0]
+    k, m = a.shape[:2]
     bound = hadamard_bound(a)
-    v0 = pair_measures(kind, a[np.arange(k), np.argmax(bound, axis=1)])
-    reach = value(bound * (1.0 + HADAMARD_RTOL), n)
-    similarity = kind.orientation is Orientation.SIMILARITY_LIKE
-    worse = np.less if similarity else np.greater
-    rows, cols = np.nonzero(~worse(reach, v0[:, None]))
-    out = np.full((k, m), -np.inf if similarity else np.inf)
-    out[rows, cols] = pair_measures(kind, a[rows, cols])
+    s0 = _invariant(kind, a[np.arange(k), np.argmax(bound, axis=1)])[0]
+    rows, cols = np.nonzero(~(bound * (1.0 + HADAMARD_RTOL) < s0[:, None]))
+    out = np.full((k, m), -np.inf)
+    out[rows, cols] = _invariant(kind, a[rows, cols])[0]
     return out
+
+
+def measures_of(kind: MeasureKind, s: np.ndarray, n: int) -> np.ndarray:
+    """The measure f(s) of invariants s of order-n products, as ``_TABLE``."""
+    return _TABLE[kind.value][0](s, n)
 
 
 def pair_measures(kind: MeasureKind, a: np.ndarray) -> np.ndarray:
     """The measure of every product A = Q1^T Q2 in a stack (..., n, n)."""
-    return _TABLE[kind.value][0](_invariant(kind, a)[0], a.shape[-1])
+    return measures_of(kind, _invariant(kind, a)[0], a.shape[-1])
 
 
 def pair_measure_grads(kind: MeasureKind, a: np.ndarray):

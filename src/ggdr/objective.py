@@ -84,9 +84,9 @@ class Problem:
                 f"graph size {self.graph.size} != {len(points)} points"
             )
         ambient, order = points.shape[1:]
-        if not order <= self.target_dim <= ambient:
+        if not order < self.target_dim <= ambient:
             raise InvalidShape(
-                f"need n <= d <= D, got n={order}, d={self.target_dim}, D={ambient}"
+                f"need n < d <= D, got n={order}, d={self.target_dim}, D={ambient}"
             )
         gm = self.graph.g
         rows, cols = np.nonzero(np.triu(gm, 1))

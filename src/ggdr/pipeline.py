@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -34,7 +34,8 @@ from .metrics import (  # noqa: F401
     Orientation,
     health_counters,
     measure,
-    nearest_measures,
+    measures_of,
+    nearest_invariants,
     pair_measures,
 )
 from .objective import Problem, cost, euclidean_grad, reduce_point  # noqa: F401
@@ -178,18 +179,17 @@ def build_subspace(features: np.ndarray, order: int) -> GrassmannPoint:
     return GrassmannPoint(basis)
 
 
-def _measure_blocks(
-    kind: MeasureKind, left, right, upper: bool = False, nearest: bool = False
-):
-    """Yield (a, b, values[k, m] = measure(left[a + k], right[m])) by row block.
+def _measure_blocks(reduce, left, right, upper: bool = False):
+    """Yield (a, b, reduce(products of left[a:b] with right)) by row block.
 
-    ``right`` is copied once into a (D, M n) matrix, so a block's products
-    are one GEMM, ((b - a) n x D)(D x M n), laid out as (b - a, n, M, n) and
-    reduced through its (b - a, M, n, n) view, which copies nothing. With
-    ``upper`` (left is right) the rows are read from that copy and the
-    columns start at a: only pairs on or above the diagonal. With ``nearest``, pairs that cannot be their row's nearest
-    neighbour read as the worst value (``metrics.nearest_measures``). A
-    block's rows and its products take about 4 PAIR_BLOCK_BYTES each.
+    ``reduce``, such as ``partial(pair_measures, kind)``, maps a
+    (k, M, n, n) stack of products to a (k, M) array. ``right`` is copied
+    once into a (D, M n) matrix, so a block's products are one GEMM,
+    ((b - a) n x D)(D x M n), laid out as (b - a, n, M, n) and reduced
+    through its (b - a, M, n, n) view, which copies nothing. With ``upper``
+    (left is right) the rows are read from that copy and the columns start
+    at a: only pairs on or above the diagonal. A block's rows and its
+    products take about 4 PAIR_BLOCK_BYTES each.
     """
     count, ambient, order = left.shape
     cols = right.transpose(1, 0, 2).reshape(ambient, len(right) * order)
@@ -202,7 +202,7 @@ def _measure_blocks(
             start, rows = 0, left[a:b].mT.reshape((b - a) * order, ambient)
         prods = rows @ cols[:, start * order :]
         prods = prods.reshape(b - a, order, -1, order).transpose(0, 2, 1, 3)
-        values = (nearest_measures if nearest else pair_measures)(kind, prods)
+        values = reduce(prods)
         del rows, prods  # neither lives on into the next block's GEMM
         yield a, b, values
 
@@ -228,7 +228,8 @@ def pairwise_dissimilarity(samples, kind: MeasureKind) -> np.ndarray:
     if not len(bases):
         return out
     flip = kind.orientation is Orientation.SIMILARITY_LIKE
-    for a, b, values in _measure_blocks(kind, bases, bases, upper=True):
+    blocks = _measure_blocks(partial(pair_measures, kind), bases, bases, upper=True)
+    for a, b, values in blocks:
         if flip:
             values = 1.0 - values
         # keep the pairs above the diagonal, then mirror them into the
@@ -242,10 +243,9 @@ def pairwise_dissimilarity(samples, kind: MeasureKind) -> np.ndarray:
 def _nn_predict(train: LabeledDataset, test_samples, kind: MeasureKind):
     """Labels, training indices, and measure values of each nearest neighbor.
 
-    For fs, bc and bck only the pairs whose Hadamard bound, widened by
-    HADAMARD_RTOL, can reach their row's best are measured
-    (``metrics.nearest_measures``); the answers and their ties to the lowest
-    index are those of every pair measured.
+    The nearest neighbour is the largest invariant s under every measure,
+    ties going to the lowest index (``metrics.nearest_invariants``); the
+    measure is then taken of the winners' s alone.
     """
     test, bases = _bases(test_samples), train.bases
     if not len(test):
@@ -254,14 +254,14 @@ def _nn_predict(train: LabeledDataset, test_samples, kind: MeasureKind):
         raise DimensionMismatch(
             f"test sample shape {test.shape[1:]}, train shape {bases.shape[1:]}"
         )
-    pick = np.argmax if kind.orientation is Orientation.SIMILARITY_LIKE else np.argmin
     indices = np.empty(len(test), dtype=np.int64)
-    values = np.empty(len(test))
-    for a, b, block in _measure_blocks(kind, test, bases, nearest=True):
-        indices[a:b] = pick(block, axis=1)  # first index on ties
-        values[a:b] = block[np.arange(b - a), indices[a:b]]
+    best = np.empty(len(test))
+    for a, b, block in _measure_blocks(partial(nearest_invariants, kind), test, bases):
+        indices[a:b] = np.argmax(block, axis=1)  # first index on ties
+        best[a:b] = block[np.arange(b - a), indices[a:b]]
+    values = measures_of(kind, best, test.shape[2]).tolist()
     indices = indices.tolist()
-    return [train.labels[i] for i in indices], indices, values.tolist()
+    return [train.labels[i] for i in indices], indices, values
 
 
 def nn_classify(train: LabeledDataset, test_samples, kind: MeasureKind) -> list:

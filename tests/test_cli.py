@@ -115,6 +115,36 @@ class TestTrain:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--dim", 2],  # d = n
+            ["--dim", 2, "--init", "random"],
+            ["--dim", 0],
+            ["--dim", -1, "--init", "random"],
+            ["--dim", 11],  # D + 1
+            ["--dim", 11, "--init", "random"],
+            ["--dim", 4, "--kb", 0],
+            ["--dim", 4, "--kw", 4],  # classes have 4 samples
+        ],
+    )
+    def test_bad_dim_kw_or_kb_exit_2(self, tmp_path, dataset_dir, capsys, extra):
+        out = tmp_path / "w.csv"
+        code = run([
+            "train", "--data", dataset_dir, "--metric", "p", "--out", out, *extra
+        ])
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_kb_zero_names_the_resolved_kw(self, tmp_path, dataset_dir, capsys):
+        code = run([
+            "train", "--data", dataset_dir, "--metric", "p", "--dim", 4,
+            "--kb", 0, "--out", tmp_path / "w.csv",
+        ])
+        assert code == 2
+        assert "got kw=3, kb=0" in capsys.readouterr().err
+
     def test_unknown_metric(self, tmp_path, dataset_dir):
         code = run([
             "train", "--data", dataset_dir, "--metric", "nope",
@@ -605,6 +635,11 @@ class TestGradcheck:
         assert run(["gradcheck", "--metric", "p", flag, value]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "failures=" not in captured.out
+
+    def test_dim_equal_to_order(self, capsys):
+        assert run(["gradcheck", "--metric", "p", "--dim", 2, "--order", 2]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_all_metrics_small(self):
         assert run(["gradcheck", "--metric", "all", "--trials", 2]) == 0

@@ -125,6 +125,10 @@ class TestProblem:
         pts = (random_point(6, 2, 0), random_point(6, 2, 1))
         with pytest.raises(InvalidShape):
             Problem(pts, zero_graph(2), MeasureKind.PROJECTION_SQ, target_dim=1)
+        # d = n maps every point to the one point of G(n, n); d = D + 1 is wide
+        for d in (2, 7):
+            with pytest.raises(InvalidShape, match="need n < d <= D"):
+                Problem(pts, zero_graph(2), MeasureKind.PROJECTION_SQ, target_dim=d)
 
     def test_rejects_graph_size_mismatch(self):
         pts = (random_point(6, 2, 0), random_point(6, 2, 1))

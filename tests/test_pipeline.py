@@ -1,4 +1,5 @@
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -462,13 +463,13 @@ def nearest_case(case: str, seed: int):
 
 
 class TestNearestPruned:
-    """Only pairs that can win a row are measured; the answer is unchanged."""
+    """Only pairs that can win a row take a determinant; the answer is unchanged."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         case=st.sampled_from(["ties", "orthogonal-rows", "near-singular"]),
-        kind=st.sampled_from(DET_KINDS),
+        kind=st.sampled_from(ALL_KINDS),
         row_block=st.sampled_from([None, 1, 2]),
     )
     def test_matches_every_pair_measured(self, seed, case, kind, row_block):
@@ -477,24 +478,31 @@ class TestNearestPruned:
         # a block takes 4 PAIR_BLOCK_BYTES; a row of it 8 n max(D, M n) bytes
         count, d_ambient, n = train.shape
         row_bytes = 8 * n * max(d_ambient, count * n)
-        similarity = kind.orientation is Orientation.SIMILARITY_LIKE
-        pick = np.argmax if similarity else np.argmin
         with pytest.MonkeyPatch.context() as mp:
             if row_block is not None:  # blocks of row_block test samples
                 mp.setattr(pipeline, "PAIR_BLOCK_BYTES", row_block * row_bytes // 4)
             _, indices, values = pipeline._nn_predict(ds, test, kind)
-            table = np.concatenate(
-                [v for _, _, v in pipeline._measure_blocks(kind, test, train)]
+            # pruned pairs' s, and every pair's s
+            every = lambda a: metrics._invariant(kind, a)[0]  # noqa: E731
+            pruned, table = (
+                np.concatenate([v for *_, v in pipeline._measure_blocks(r, test, train)])
+                for r in (partial(metrics.nearest_invariants, kind), every)
             )
-        best = pick(table, axis=1)
-        assert indices == best.tolist()
-        assert values == table[np.arange(len(test)), best].tolist()
+        # the argmax, ties to the first index, is that of every pair's s
+        best = np.argmax(table, axis=1)
+        assert indices == best.tolist() == np.argmax(pruned, axis=1).tolist()
+        kept = pruned != -np.inf
+        assert (pruned[kept] == table[kept]).all()
+        assert kept[np.arange(len(test)), best].all()
+        winners = table[np.arange(len(test)), best]
+        assert values == metrics.measures_of(kind, winners, n).tolist()
         # one pair at a time, the products differ from the GEMM's in roundoff,
         # which arccos near |det A| = 1 magnifies: fs is compared as |det A|
         near = np.cos if kind is MeasureKind.FUBINI_STUDY else float
+        pick = min if kind.orientation is Orientation.DISTANCE_LIKE else max
         for t, index, value in zip(test, indices, values):
             per_pair = [measure(kind, t, x) for x in train]
-            for v in (per_pair[index], per_pair[pick(per_pair)]):
+            for v in (per_pair[index], pick(per_pair)):
                 assert near(value) == pytest.approx(near(v), rel=0, abs=4e-15)
             # a probe with two copies in the training set finds the first
             copies = [i for i, x in enumerate(train) if (x == t).all()]
@@ -509,10 +517,29 @@ class TestNearestPruned:
         cols = train.transpose(1, 0, 2).reshape(10, -1)
         block = (train[2].T @ cols).reshape(1, 2, 5, 2).transpose(0, 2, 1, 3)
         for kind in DET_KINDS:
-            worst = -np.inf if kind is MeasureKind.BINET_CAUCHY_KERNEL else np.inf
-            values = metrics.nearest_measures(kind, block)[0]
-            assert values[2] == metrics.pair_measures(kind, block)[0, 2]
-            assert values[[0, 1, 3, 4]].tolist() == [worst] * 4
+            s = metrics.nearest_invariants(kind, block)[0]
+            assert s[2] == metrics._invariant(kind, block)[0][0, 2] == 1.0
+            assert s[[0, 1, 3, 4]].tolist() == [-np.inf] * 4
+
+    def test_rounding_tie_goes_to_the_larger_invariant(self):
+        # adjacent c1 < c2 whose squares differ but round to one 1 - c^2: p
+        # and pk give both training samples one value, their s still differ
+        c1 = 0.55
+        for _ in range(100):
+            c2 = np.nextafter(c1, 1.0)
+            if c1 * c1 != c2 * c2 and 1.0 - c1 * c1 == 1.0 - c2 * c2:
+                break
+            c1 = c2
+        assert 1.0 - c1 * c1 == 1.0 - c2 * c2
+        train = LabeledDataset(
+            np.array([[[c1], [np.sqrt(1 - c1 * c1)], [0.0]],
+                      [[c2], [0.0], [np.sqrt(1 - c2 * c2)]]]),
+            ("a", "b"),
+            ("0", "1"),
+        )
+        probe = np.eye(3)[None, :, :1]
+        for kind in ALL_KINDS:
+            assert pipeline._nn_predict(train, probe, kind)[:2] == (["b"], [1])
 
 
 class TestGradientCheck:
