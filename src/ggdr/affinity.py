@@ -70,6 +70,24 @@ def default_kw(labels) -> int:
     return min(_class_sizes(labels).values()) - 1
 
 
+def check_neighbors(labels, kw: int, kb: int) -> Counter:
+    """The class sizes, once 1 <= kb <= kw <= smallest class size - 1 holds.
+
+    Raises DegenerateClass when some class is a singleton and InvalidK for
+    a kw or kb out of range. kb may exceed the cross-class candidates (e.g.
+    a single-class dataset); selection simply takes what exists.
+    """
+    sizes = _class_sizes(labels)
+    if kw < 1 or kb < 1 or kb > kw:
+        raise InvalidK(f"need 1 <= kb <= kw, got kw={kw}, kb={kb}")
+    smallest = min(sizes.values())
+    if kw > smallest - 1:
+        raise InvalidK(
+            f"kw={kw} exceeds smallest class size minus one ({smallest - 1})"
+        )
+    return sizes
+
+
 def _link(g, rows, candidates, dist, k: int, sign: int) -> None:
     """Join each rows[r] to its k nearest candidates[r], both ways.
 
@@ -94,9 +112,7 @@ def build_affinity(labels, dist: np.ndarray, kw: int, kb: int) -> AffinityGraph:
     """Construct the signed neighbor graph from labels and dissimilarities.
 
     dist must be symmetric with a zero diagonal; smaller means closer.
-    Raises InvalidK when kw exceeds the smallest class size minus one (or kb
-    exceeds the available cross-class candidates) and DegenerateClass when
-    some class is a singleton.
+    kw, kb and the class sizes are checked by ``check_neighbors``.
     """
     labels = list(labels)
     n = len(labels)
@@ -110,17 +126,7 @@ def build_affinity(labels, dist: np.ndarray, kw: int, kb: int) -> AffinityGraph:
     if np.any(np.abs(np.diag(dist)) > 1e-12):
         raise InvalidShape("distance matrix must have a zero diagonal")
 
-    sizes = _class_sizes(labels)
-    if kw < 1 or kb < 1 or kb > kw:
-        raise InvalidK(f"need 1 <= kb <= kw, got kw={kw}, kb={kb}")
-    smallest = min(sizes.values())
-    if kw > smallest - 1:
-        raise InvalidK(
-            f"kw={kw} exceeds smallest class size minus one ({smallest - 1})"
-        )
-    # kb may exceed the cross-class candidates (e.g. a single-class dataset);
-    # selection simply takes what exists
-
+    sizes = check_neighbors(labels, kw, kb)
     lab_arr = np.asarray(labels, dtype=object)
     g = np.zeros((n, n), dtype=np.int8)  # AffinityGraph stores it as int64
     for label in sizes:

@@ -31,7 +31,7 @@ from .manifold import MappingMatrix, orthonormalize
 from .metrics import MeasureKind
 
 # reduce_point, evaluate: looked up here by perfbench/tracer.py and workloads.py
-from .objective import reduce_point  # noqa: F401
+from .objective import check_target_dim, reduce_point  # noqa: F401
 from .optimizer import BetaRule, OptimOptions
 from .pipeline import (  # noqa: F401
     SynthParams,
@@ -146,8 +146,6 @@ def cmd_train(args) -> int:
             )
     metric = _metric(args.metric)
     dim = args.dim
-    if dim < 1:  # a random init draws dim columns before Problem checks it
-        raise ValidationError(f"--dim must be positive, got {dim}")
     given = {key: _resolve(args, key) for key in TRAIN_KEYS}
     seed, init = given["seed"], given["init"]
     if seed < 0:
@@ -167,8 +165,9 @@ def cmd_train(args) -> int:
         restart_period=given["restart"],
     )
 
-    # Problem checks n < dim <= D, build_affinity kw and kb
     ds = _load(args.data, args.order)
+    # before a random init draws dim columns
+    check_target_dim(ds.order, dim, ds.ambient_dim)
     w0 = None
     if init == "random":
         rng = np.random.default_rng(seed)

@@ -56,6 +56,14 @@ from .metrics import (  # noqa: F401
     qr_pullback_inverse,
 )
 
+def check_target_dim(order: int, target_dim: int, ambient: int) -> None:
+    """Raise InvalidShape unless n < d <= D; at d = n, G(n, d) is one point."""
+    if not order < target_dim <= ambient:
+        raise InvalidShape(
+            f"need n < d <= D, got n={order}, d={target_dim}, D={ambient}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class Problem:
     """One training instance: points, neighbor graph, measure, target dim.
@@ -84,10 +92,7 @@ class Problem:
                 f"graph size {self.graph.size} != {len(points)} points"
             )
         ambient, order = points.shape[1:]
-        if not order < self.target_dim <= ambient:
-            raise InvalidShape(
-                f"need n < d <= D, got n={order}, d={self.target_dim}, D={ambient}"
-            )
+        check_target_dim(order, self.target_dim, ambient)
         gm = self.graph.g
         rows, cols = np.nonzero(np.triu(gm, 1))
         weights = self.pair_sign * gm[rows, cols]

@@ -63,7 +63,9 @@ class OptimOptions:
     rel_cost_tol: float = 1e-6
     grad_norm_tol: float = 1e-6
     beta_rule: BetaRule = BetaRule.POLAK_RIBIERE_PLUS
-    restart_period: int | None = None  # None: d(D - d), the manifold dimension
+    # None: d(D - d), the dimension of G(d, D); pipeline.fit resolves it from
+    # the data's D, also when it runs CG in span coordinates
+    restart_period: int | None = None
 
     def __post_init__(self):
         # written as "not >= 0" so that NaN fails too
@@ -157,7 +159,10 @@ def minimize(
     ``callback(iteration, w, rgrad)`` runs at the start and after every
     accepted step, before termination checks, with a MappingMatrix and a
     TangentVector. The loop itself keeps the map, the gradient and the
-    search direction as D x d arrays and validates only what it hands out.
+    search direction as plain arrays shaped like the problem's maps and
+    validates only what it hands out. They are D x d, or m x d where
+    ``pipeline.fit`` passes a problem in the coordinates of an
+    m-dimensional span of the data.
     """
     opts = opts or OptimOptions()
     if w0 is None:

@@ -137,6 +137,25 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("init", ["identity", "random"])
+    @pytest.mark.parametrize("dim", [-1, 0, 2, 11])
+    def test_bad_dim_names_the_dimensions(
+        self, tmp_path, dataset_dir, capsys, monkeypatch, dim, init
+    ):
+        # checked before a random init draws dim columns and before the
+        # O(N^2) dissimilarity matrix
+        calls = []
+        monkeypatch.setattr(
+            pipeline, "pairwise_dissimilarity", lambda *a: calls.append(a)
+        )
+        code = run([
+            "train", "--data", dataset_dir, "--metric", "p", "--dim", dim,
+            "--init", init, "--out", tmp_path / "w.csv",
+        ])
+        assert code == 2 and calls == []
+        err = capsys.readouterr().err
+        assert err == f"error: need n < d <= D, got n=2, d={dim}, D=10\n"
+
     def test_kb_zero_names_the_resolved_kw(self, tmp_path, dataset_dir, capsys):
         code = run([
             "train", "--data", dataset_dir, "--metric", "p", "--dim", 4,

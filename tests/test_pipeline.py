@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ggdr import manifold
-from ggdr.affinity import AffinityGraph
+from ggdr.affinity import AffinityGraph, build_affinity
 from ggdr.dataio import load_dataset, save_dataset
 from ggdr.errors import (
     EmptyTrainingSet,
     InvalidShape,
     NumericalHealthWarning,
     RankDeficient,
+    ValidationError,
 )
 from ggdr.manifold import (
     GrassmannPoint,
@@ -24,9 +25,9 @@ from ggdr.manifold import (
 )
 from ggdr import metrics
 from ggdr.metrics import MeasureKind, Orientation, PairGradient, measure
-from ggdr.objective import Problem
+from ggdr.objective import Problem, cost_and_grad
 from ggdr import pipeline
-from ggdr.optimizer import OptimOptions
+from ggdr.optimizer import OptimOptions, minimize
 from ggdr.pipeline import (
     GradCheckReport,
     LabeledDataset,
@@ -575,3 +576,165 @@ class TestGradientCheck:
         measure_grad(MeasureKind.FUBINI_STUDY, q, q)
         assert health_counters()["fubini_study_grad_clamped"] == 1
         reset_health_counters()
+
+
+# 15 iterations that no tolerance cuts short
+SPAN_OPTS = OptimOptions(max_iter=15, rel_cost_tol=0.0, grad_norm_tol=0.0)
+
+
+@pytest.fixture
+def minimize_calls(monkeypatch):
+    """(ambient dim of the Problem, restart period) of each minimize fit runs."""
+    calls = []
+    run = pipeline.minimize
+
+    def spy(problem, w0=None, opts=None):
+        calls.append((problem.ambient_dim, opts.restart_period))
+        return run(problem, w0=w0, opts=opts)
+
+    monkeypatch.setattr(pipeline, "minimize", spy)
+    return calls
+
+
+def span_dataset(seed, bases=None):
+    """12 samples on G(3, 300): at d = 8, [W0, X] has m = 8 + 36 = 44 < 300
+    columns. ``bases`` replaces the drawn ones."""
+    ds = synth_dataset(SynthParams(3, 4, 300, 3, 0.3, seed))
+    return ds if bases is None else LabeledDataset(bases, ds.labels, ds.provenance)
+
+
+def default_graph(train, kind):
+    dist = pairwise_dissimilarity(train.bases, kind)
+    return build_affinity(train.labels, dist, kw=3, kb=1)
+
+
+def oracle_fit(train, kind, target_dim, w0=None):
+    """Problem plus minimize on the D x d maps, with the default graph."""
+    graph = default_graph(train, kind)
+    problem = Problem(train.bases, graph, kind, target_dim=target_dim)
+    w, trace = minimize(problem, w0=w0, opts=SPAN_OPTS)
+    return w, trace, graph
+
+
+def counts(trace):
+    return (
+        trace.iterations,
+        sum(rec.backtracks for rec in trace.records),
+        trace.objective_evals,
+    )
+
+
+def assert_same_fit(fitted, oracle):
+    """Equal counts and an orthonormal map; cost and map within what CG's own
+    roundoff amplification allows. Started from a map 4e-16 away, the oracle
+    itself moved by up to 1.2e-8 (final cost, relative) and 2.3e-6 (map) over
+    these tests' 15-iteration fits."""
+    (w, trace, graph), (w_ref, trace_ref, graph_ref) = fitted, oracle
+    assert (graph.g == graph_ref.g).all()
+    assert counts(trace) == counts(trace_ref)
+    assert abs(trace.final_cost - trace_ref.final_cost) <= 1e-7 * abs(
+        trace_ref.final_cost
+    )
+    assert np.linalg.norm(w.w @ w.w.T - w_ref.w @ w_ref.w.T) <= 1e-5
+    assert np.linalg.norm(w.w.T @ w.w - np.eye(w.w.shape[1])) <= 1e-12
+
+
+def start_map(init, seed):
+    if init == "identity":
+        return None
+    rng = np.random.default_rng(seed)
+    return MappingMatrix(orthonormalize(rng.standard_normal((300, 8)))[0])
+
+
+class TestSpanFit:
+    """fit in the span of [W0, X] against CG on the D x d maps themselves."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("init", ["identity", "random"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_matches_the_ambient_oracle(self, minimize_calls, kind, init, seed):
+        train, w0 = span_dataset(seed), start_map(init, seed)
+        fitted = fit(train, kind, 8, opts=SPAN_OPTS, w0=w0)
+        assert minimize_calls == [(44, 8 * 292)]
+        assert_same_fit(fitted, oracle_fit(train, kind, 8, w0))
+
+    @pytest.mark.parametrize("init", ["identity", "random"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_first_cost_and_gradient_match_to_roundoff(self, kind, init):
+        # before CG amplifies roundoff: at W0 the span problem's cost is the
+        # ambient one, and its gradient is U^T times the ambient gradient,
+        # which lies in span(X)
+        train = span_dataset(0)
+        w0 = np.eye(300, 8) if init == "identity" else start_map(init, 0).w
+        u = pipeline._span_basis(w0, train.bases)
+        graph = default_graph(train, kind)
+        ambient = Problem(train.bases, graph, kind, target_dim=8)
+        span = Problem(np.matmul(u.T, train.bases), graph, kind, target_dim=8)
+        c, g, _ = cost_and_grad(w0, ambient)
+        c_span, g_span, _ = cost_and_grad(u.T @ w0, span)
+        assert abs(c_span - c) <= 1e-13 * abs(c)
+        assert np.linalg.norm(u @ g_span - g) <= 1e-13 * np.linalg.norm(g)
+
+    @pytest.mark.parametrize("restart", [None, 5])
+    @pytest.mark.parametrize("ambient, coords", [(300, 44), (60, 60), (40, 40)])
+    def test_coordinates_and_restart_period(
+        self, minimize_calls, ambient, coords, restart
+    ):
+        # m = 44: (m / d) D / (D - m) is 6.4 at D = 300, within
+        # SPAN_COST_LIMIT, and 20.6 at D = 60; at D = 40, m >= D. Either
+        # way restart None means d(D - d) of G(8, D)
+        train = synth_dataset(SynthParams(3, 4, ambient, 3, 0.3, 2))
+        opts = OptimOptions(max_iter=1, restart_period=restart)
+        fit(train, MeasureKind.PROJECTION_SQ, 8, opts=opts)
+        period = 8 * (ambient - 8) if restart is None else restart
+        assert minimize_calls == [(coords, period)]
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_repeated_sample_falls_back_to_the_ambient_path(self, minimize_calls, kind):
+        bases = span_dataset(3).bases.copy()
+        bases[1] = bases[0]
+        train = span_dataset(3, bases)
+        w, trace, _ = fit(train, kind, 8, opts=SPAN_OPTS)
+        assert minimize_calls == [(300, 8 * 292)]
+        w_ref, trace_ref, _ = oracle_fit(train, kind, 8)
+        assert w.w.tobytes() == w_ref.w.tobytes()
+        assert repr(trace.records) == repr(trace_ref.records)
+
+    @pytest.mark.parametrize(
+        "eps, ambient", [(1e-4, 44), (1e-7, 44), (1e-10, 300)]
+    )
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_near_repeated_sample_fits(self, minimize_calls, kind, eps, ambient):
+        # at 1e-10 the Cholesky of [W0, X]^T [W0, X] fails and fit stays on
+        # the maps; at 1e-7 the span basis is still orthonormal to roundoff
+        bases = span_dataset(3).bases.copy()
+        noise = np.random.default_rng(0).standard_normal(bases[0].shape)
+        bases[1], _ = orthonormalize(bases[0] + eps * noise)
+        train = span_dataset(3, bases)
+        fitted = fit(train, kind, 8, opts=SPAN_OPTS)
+        assert minimize_calls == [(ambient, 8 * 292)]
+        assert_same_fit(fitted, oracle_fit(train, kind, 8))
+
+
+class TestFitChecks:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            dict(target_dim=2),  # d = n
+            dict(target_dim=11),  # D + 1
+            dict(target_dim=0),
+            dict(target_dim=4, kw=4),  # classes have 4 samples
+            dict(target_dim=4, kb=0),
+            dict(target_dim=4, w0=MappingMatrix(np.eye(9, 4))),
+        ],
+    )
+    def test_bad_arguments_fail_before_the_dissimilarity_matrix(
+        self, monkeypatch, args
+    ):
+        calls = []
+        monkeypatch.setattr(
+            pipeline, "pairwise_dissimilarity", lambda *a: calls.append(a)
+        )
+        with pytest.raises(ValidationError):
+            fit(tiny_dataset(), MeasureKind.PROJECTION_SQ, **args)
+        assert calls == []
