@@ -39,7 +39,6 @@ from .manifold import (
 )
 from .metrics import (
     MeasureKind,
-    Orientation,
     PairGradient,
     btril,
     health_counters,

@@ -207,10 +207,22 @@ def qr_with_inverse(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             + "non-finite entries (nan or inf)"
         )
     q, r = np.linalg.qr(m)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    # the estimate of R / max|r_ii| is that of R, and its norms cannot
-    # overflow; an all-zero diagonal stays unscaled
-    top = np.abs(diag).max(axis=-1, keepdims=True)
+    inverse, top = scaled_inverse(r)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    # (D R)^-1 = R^-1 D for the diagonal sign matrix D
+    r_inv = inverse * (signs / top)[..., None, :]
+    return q * signs[..., None, :], signs[..., :, None] * r, r_inv
+
+
+def scaled_inverse(r: np.ndarray, error=RankDeficient):
+    """(R / t)^-1 and t = max_i |r_ii| (shape (..., 1)) of a triangular R, or
+    of each in a stack, so R^-1 = (R / t)^-1 / t.
+
+    Raises ``error`` when the Frobenius condition estimate
+    ||R||_F ||R^-1||_F, that of R / t, reaches 1 / RANK_RTOL. Scaled, the
+    norms cannot overflow; an all-zero diagonal stays unscaled.
+    """
+    top = np.abs(np.diagonal(r, axis1=-2, axis2=-1)).max(axis=-1, keepdims=True)
     top[top == 0.0] = 1.0
     scaled = r / top[..., None]
     with np.errstate(over="ignore"):
@@ -227,16 +239,13 @@ def qr_with_inverse(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bad = ~(estimate < 1.0 / RANK_RTOL)
     if bad.any():
         first = int(np.argmax(bad.ravel()))
-        raise RankDeficient(
-            _stack_prefix(m, first)
+        raise error(
+            _stack_prefix(r, first)
             + "numerically rank-deficient: Frobenius condition estimate "
             f"||R||_F ||R^-1||_F = {estimate.ravel()[first]:.3e}, "
             f"limit {1.0 / RANK_RTOL:.0e}"
         )
-    signs = np.sign(diag)
-    # (D R)^-1 = R^-1 D for the diagonal sign matrix D
-    r_inv = inverse * (signs / top)[..., None, :]
-    return q * signs[..., None, :], signs[..., :, None] * r, r_inv
+    return inverse, top
 
 
 def _stack_prefix(m: np.ndarray, index: int) -> str:

@@ -9,8 +9,9 @@ product A = Q1^T Q2 whose singular values are the principal-angle cosines:
     projection kernel (squared) 2n - 2 ||A||_F^2
     Binet-Cauchy kernel         det(A A^T)               = prod cos^2
 
-The first four shrink to 0 as subspaces coincide; the kernel grows to 1, so
-it carries a similarity orientation that callers must account for.
+The first four shrink to 0 as subspaces coincide; the kernel grows to 1
+(``MeasureKind.similarity_like``), which ``objective.Problem.pair_sign`` and
+``pipeline.pairwise_dissimilarity`` turn around.
 
 Each measure is defined once, in ``_TABLE``, as a function of ||A||_F^2 or
 |det A|, which ``_invariant`` alone computes. Every function here takes its
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotSquare, SingularR
-from .manifold import RANK_RTOL
+from .manifold import scaled_inverse
 
 # the Fubini-Study slope is clamped to |det A| <= 1 - DET_TOL
 DET_TOL = 1e-12
@@ -67,11 +68,6 @@ def reset_health_counters() -> None:
     _health.clear()
 
 
-class Orientation(enum.Enum):
-    DISTANCE_LIKE = "distance"
-    SIMILARITY_LIKE = "similarity"
-
-
 class MeasureKind(enum.Enum):
     """The five measures; enum values double as CLI codes."""
 
@@ -82,10 +78,9 @@ class MeasureKind(enum.Enum):
     BINET_CAUCHY_KERNEL = "bck"
 
     @property
-    def orientation(self) -> Orientation:
-        if self is MeasureKind.BINET_CAUCHY_KERNEL:
-            return Orientation.SIMILARITY_LIKE
-        return Orientation.DISTANCE_LIKE
+    def similarity_like(self) -> bool:
+        """True for the kernel, which grows as subspaces coincide."""
+        return self is MeasureKind.BINET_CAUCHY_KERNEL
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,7 +242,8 @@ def qr_pullback(
 
         dL/dX = ((I - Q Q^T) dQbar + Q btril(Q^T dQbar)) R^{-T}.
 
-    A stack (..., m, k) is handled matrix by matrix.
+    A stack (..., m, k) is handled matrix by matrix. Raises SingularR for
+    an R that ``manifold.orthonormalize``'s rank test rejects.
     """
     x = np.asarray(x, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -258,10 +254,8 @@ def qr_pullback(
     k = q.shape[-1]
     if r.shape != q.shape[:-2] + (k, k):
         raise DimensionMismatch("r must be k x k matching q's column count")
-    rdiag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    if np.any(rdiag.min(axis=-1) <= RANK_RTOL * rdiag.max(axis=-1)):
-        raise SingularR("triangular factor numerically singular")
-    return qr_pullback_inverse(q, np.linalg.inv(r), dq)
+    inverse, top = scaled_inverse(r, SingularR)
+    return qr_pullback_inverse(q, inverse / top[..., None], dq)
 
 
 def qr_pullback_inverse(

@@ -47,7 +47,6 @@ from .manifold import (
 from .metrics import (  # noqa: F401
     PAIR_BLOCK_BYTES,
     MeasureKind,
-    Orientation,
     measure,
     measure_grad,
     pair_measure_grads,
@@ -94,7 +93,9 @@ class Problem:
         ambient, order = points.shape[1:]
         check_target_dim(order, self.target_dim, ambient)
         gm = self.graph.g
-        rows, cols = np.nonzero(np.triu(gm, 1))
+        rows, cols = np.nonzero(gm)
+        upper = rows < cols
+        rows, cols = rows[upper], cols[upper]
         weights = self.pair_sign * gm[rows, cols]
         object.__setattr__(self, "points", points)
         step = max(1, PAIR_BLOCK_BYTES // (8 * self.target_dim * order))
@@ -115,11 +116,10 @@ class Problem:
 
     @property
     def pair_sign(self) -> float:
-        """Global orientation factor applied to every pair term."""
-        if (
-            self.sign_flip_similarity
-            and self.kind.orientation is Orientation.SIMILARITY_LIKE
-        ):
+        """The factor of every pair term: -1 for a similarity-like measure
+        (its within-class terms are to grow) unless sign_flip_similarity is
+        off, else 1."""
+        if self.sign_flip_similarity and self.kind.similarity_like:
             return -1.0
         return 1.0
 

@@ -27,7 +27,7 @@ section 3.5, doubled, so the rule's own prediction is the second trial.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,12 +92,19 @@ class TraceRecord:
 
 @dataclass
 class OptimTrace:
-    """Per-iteration history plus the termination summary."""
+    """Per-iteration history plus the stop rule that ended the fit."""
 
-    records: list[TraceRecord] = field(default_factory=list)
-    converged: bool = False
-    reason: str = ""
-    line_search_failed: bool = False
+    records: list[TraceRecord]
+    # "grad_norm", "rel_cost", "max_iter" or "line_search_failed"
+    reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.reason in ("grad_norm", "rel_cost")
+
+    @property
+    def line_search_failed(self) -> bool:
+        return self.reason == "line_search_failed"
 
     @property
     def iterations(self) -> int:
@@ -136,6 +143,18 @@ class OptimTrace:
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b))
+
+
+def _stop_reason(opts, it, cost_drop, cost_scale, rnorm) -> str:
+    """The stop rule that holds at iteration it, "" if none: rel_cost holds
+    only after a step, and then wins over grad_norm and max_iter."""
+    if it and cost_drop <= opts.rel_cost_tol * cost_scale:
+        return "rel_cost"
+    if rnorm <= opts.grad_norm_tol:
+        return "grad_norm"
+    if it >= opts.max_iter:
+        return "max_iter"
+    return ""
 
 
 def _notify(callback, iteration: int, w: np.ndarray, rg: np.ndarray) -> None:
@@ -183,23 +202,12 @@ def minimize(
     if callback is not None:
         _notify(callback, 0, w, rg)
 
-    trace = OptimTrace()
-    h: np.ndarray | None = None
+    records = []
+    h = -rg
     last_decrease = 0.0  # alpha * slope of the last accepted step; 0: none yet
+    cost_drop = cost_scale = 0.0  # of the last accepted step
     it = 0
-    while True:
-        if rnorm <= opts.grad_norm_tol:
-            trace.records.append(TraceRecord(it, c, rnorm, 0.0, 0))
-            trace.converged = True
-            trace.reason = "grad_norm"
-            break
-        if it >= opts.max_iter:
-            trace.records.append(TraceRecord(it, c, rnorm, 0.0, 0))
-            trace.reason = "max_iter"
-            break
-
-        if h is None:
-            h = -rg
+    while not (reason := _stop_reason(opts, it, cost_drop, cost_scale, rnorm)):
         slope = _inner(rg, h)
         if slope >= 0.0:
             h = -rg
@@ -211,25 +219,16 @@ def minimize(
         alpha = INITIAL_STEP
         if last_decrease < 0.0:
             alpha = min(INITIAL_STEP, 2.0 * last_decrease / slope)
-        backtracks = 0
-        accepted = False
-        while True:
+        for backtracks in range(MAX_BACKTRACKS + 1):
             trial = frame.at(alpha)
-            c_try = cost(trial, p)
-            if c_try <= c + SUFFICIENT_DECREASE * alpha * slope:
-                accepted = True
-                break
-            if backtracks >= MAX_BACKTRACKS:
+            if cost(trial, p) <= c + SUFFICIENT_DECREASE * alpha * slope:
                 break
             alpha *= CONTRACTION
-            backtracks += 1
-        if not accepted:
-            trace.records.append(TraceRecord(it, c, rnorm, 0.0, backtracks))
-            trace.line_search_failed = True
-            trace.reason = "line_search_failed"
-            break
+        else:
+            records.append(TraceRecord(it, c, rnorm, 0.0, MAX_BACKTRACKS))
+            return MappingMatrix(w), OptimTrace(records, "line_search_failed")
 
-        trace.records.append(TraceRecord(it, c, rnorm, alpha, backtracks))
+        records.append(TraceRecord(it, c, rnorm, alpha, backtracks))
         last_decrease = alpha * slope
 
         c_new, eg_new, _ = cost_and_grad(trial, p)
@@ -254,10 +253,6 @@ def minimize(
         cost_scale = max(abs(c), abs(c_new), 1.0)
         w, c, rg, rnorm = w_new, c_new, rg_new, rnorm_new
         it += 1
-        if cost_drop <= opts.rel_cost_tol * cost_scale:
-            trace.records.append(TraceRecord(it, c, rnorm, 0.0, 0))
-            trace.converged = True
-            trace.reason = "rel_cost"
-            break
 
-    return MappingMatrix(w), trace
+    records.append(TraceRecord(it, c, rnorm, 0.0, 0))
+    return MappingMatrix(w), OptimTrace(records, reason)

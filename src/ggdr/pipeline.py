@@ -31,7 +31,6 @@ from .manifold import GrassmannPoint, MappingMatrix, orthonormalize, stack_bases
 from .metrics import (  # noqa: F401
     PAIR_BLOCK_BYTES,
     MeasureKind,
-    Orientation,
     health_counters,
     measure,
     measures_of,
@@ -243,10 +242,9 @@ def pairwise_dissimilarity(samples, kind: MeasureKind) -> np.ndarray:
     out = np.zeros((len(bases), len(bases)))
     if not len(bases):
         return out
-    flip = kind.orientation is Orientation.SIMILARITY_LIKE
     blocks = _measure_blocks(partial(pair_measures, kind), bases, bases, upper=True)
     for a, b, values in blocks:
-        if flip:
+        if kind.similarity_like:
             values = 1.0 - values
         # keep the pairs above the diagonal, then mirror them into the
         # still-zero columns a:b below it

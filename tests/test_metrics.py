@@ -6,13 +6,13 @@ from numpy.testing import assert_allclose
 from ggdr.errors import (
     DimensionMismatch,
     NotSquare,
+    RankDeficient,
     SingularR,
 )
 from ggdr.manifold import GrassmannPoint, orthonormalize, qr_with_inverse, random_point
 from ggdr.metrics import (
     HADAMARD_RTOL,
     MeasureKind,
-    Orientation,
     btril,
     hadamard_bound,
     health_counters,
@@ -47,12 +47,7 @@ def rand_pair(d_ambient, order, seed):
 class TestOrientation:
     def test_only_the_kernel_is_similarity_like(self):
         for kind in ALL_KINDS:
-            expected = (
-                Orientation.SIMILARITY_LIKE
-                if kind is MeasureKind.BINET_CAUCHY_KERNEL
-                else Orientation.DISTANCE_LIKE
-            )
-            assert kind.orientation is expected
+            assert kind.similarity_like is (kind is MeasureKind.BINET_CAUCHY_KERNEL)
 
 
 class TestMeasureValues:
@@ -448,3 +443,15 @@ class TestQrPullback:
         bad_r[1, 1] = 0.0
         with pytest.raises(SingularR):
             qr_pullback(x, q, bad_r, np.ones((5, 2)))
+
+    def test_rank_test_is_orthonormalize_s(self, rng):
+        # nonzero pivots 1 and 1e-3, but ||R||_F ||R^-1||_F is about 1e19:
+        # the pullback rejects the R that orthonormalize rejects, where a
+        # pivot screen alone would pass it and return a 1e11 gradient
+        q, _ = orthonormalize(rng.standard_normal((5, 2)))
+        r = np.array([[1.0, 1e8], [0.0, 1e-3]])
+        x = q @ r
+        with pytest.raises(RankDeficient):
+            orthonormalize(x)
+        with pytest.raises(SingularR):
+            qr_pullback(x, q, r, np.ones((5, 2)))

@@ -188,6 +188,57 @@ class TestMinimize:
         assert all(b <= a for a, b in zip(costs, costs[1:]))
 
 
+INF = float("inf")
+
+
+class TestStopRules:
+    # (options, (reason, iterations, objective evaluations)) on one problem
+    # whose gradient norm falls from 47.5 to 12.3 over its first step, which
+    # takes no backtrack. rel_cost needs a step to hold; after a step it wins
+    # over grad_norm and max_iter, and grad_norm wins over max_iter.
+    CASES = [
+        ({"rel_cost_tol": INF}, ("rel_cost", 1, 3)),
+        ({"rel_cost_tol": INF, "grad_norm_tol": 20.0}, ("rel_cost", 1, 3)),
+        ({"rel_cost_tol": INF, "max_iter": 1}, ("rel_cost", 1, 3)),
+        ({"rel_cost_tol": 0.0, "grad_norm_tol": 20.0}, ("grad_norm", 1, 3)),
+        (
+            {"rel_cost_tol": 0.0, "grad_norm_tol": 20.0, "max_iter": 1},
+            ("grad_norm", 1, 3),
+        ),
+        (
+            {"rel_cost_tol": 0.0, "grad_norm_tol": 0.0, "max_iter": 1},
+            ("max_iter", 1, 3),
+        ),
+        ({"grad_norm_tol": 1e9}, ("grad_norm", 0, 1)),
+        ({"max_iter": 0}, ("max_iter", 0, 1)),
+        ({"grad_norm_tol": 1e9, "max_iter": 0}, ("grad_norm", 0, 1)),
+        ({"rel_cost_tol": INF, "max_iter": 0}, ("max_iter", 0, 1)),
+        ({"rel_cost_tol": INF, "grad_norm_tol": 1e9}, ("grad_norm", 0, 1)),
+    ]
+
+    @pytest.mark.parametrize("options, expected", CASES)
+    def test_precedence_and_edge_cases(self, options, expected):
+        p = two_class_problem(sigma=0.2, seed=7)
+        _, trace = minimize(p, opts=OptimOptions(**options))
+        assert (trace.reason, trace.iterations, trace.objective_evals) == expected
+        last = trace.records[-1]
+        assert (last.iteration, last.step, last.backtracks) == (expected[1], 0.0, 0)
+        assert len(trace.records) == expected[1] + 1
+
+    @pytest.mark.parametrize(
+        "reason, converged, failed",
+        [
+            ("grad_norm", True, False),
+            ("rel_cost", True, False),
+            ("max_iter", False, False),
+            ("line_search_failed", False, True),
+        ],
+    )
+    def test_flags_follow_the_reason(self, reason, converged, failed):
+        trace = OptimTrace(records=[TraceRecord(0, 1.0, 1.0, 0.0, 0)], reason=reason)
+        assert (trace.converged, trace.line_search_failed) == (converged, failed)
+
+
 class TestLineSearch:
     def test_first_trials_follow_the_last_accepted_step(self, monkeypatch):
         # each search's first trial is min(1, 2 alpha_prev slope_prev / slope),
@@ -326,7 +377,6 @@ class TestTrace:
                 TraceRecord(0, 3.5, 1.25, 0.5, 2, 0),
                 TraceRecord(1, 2.0, 0.5, 0.0, 0, 1),
             ],
-            converged=True,
             reason="rel_cost",
         )
         path = tmp_path / "trace.csv"
@@ -339,5 +389,6 @@ class TestTrace:
         assert trace.iterations == 1 and trace.final_cost == 2.0
         # one evaluation at the start, 3 trials, one after the accepted step
         assert trace.objective_evals == 5
-        trace.line_search_failed = True
-        assert trace.objective_evals == 6
+        # a failed line search adds the trials of its last record
+        failed = OptimTrace(records=trace.records, reason="line_search_failed")
+        assert failed.objective_evals == 6

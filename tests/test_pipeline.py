@@ -24,7 +24,7 @@ from ggdr.manifold import (
     random_point,
 )
 from ggdr import metrics
-from ggdr.metrics import MeasureKind, Orientation, PairGradient, measure
+from ggdr.metrics import MeasureKind, PairGradient, measure
 from ggdr.objective import Problem, cost_and_grad
 from ggdr import pipeline
 from ggdr.optimizer import OptimOptions, minimize
@@ -500,7 +500,7 @@ class TestNearestPruned:
         # one pair at a time, the products differ from the GEMM's in roundoff,
         # which arccos near |det A| = 1 magnifies: fs is compared as |det A|
         near = np.cos if kind is MeasureKind.FUBINI_STUDY else float
-        pick = min if kind.orientation is Orientation.DISTANCE_LIKE else max
+        pick = max if kind.similarity_like else min
         for t, index, value in zip(test, indices, values):
             per_pair = [measure(kind, t, x) for x in train]
             for v in (per_pair[index], pick(per_pair)):
