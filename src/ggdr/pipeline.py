@@ -293,6 +293,7 @@ def _reduce_dataset(ds: LabeledDataset, w: MappingMatrix) -> LabeledDataset:
         raise DimensionMismatch(
             f"ambient dims differ: map {w.ambient_dim}, points {ds.ambient_dim}"
         )
+    check_target_dim(ds.order, w.target_dim, ds.ambient_dim)
     q, _ = orthonormalize(np.matmul(w.w.T, ds.bases))
     return LabeledDataset(q, ds.labels, ds.provenance)
 

@@ -539,6 +539,19 @@ class TestEval:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_model_dim_not_above_order(self, tmp_path, dataset_dir, capsys, dim):
+        # a D x d map with d <= n sends every order-n point to one point
+        w = tmp_path / "w.csv"
+        np.savetxt(w, np.eye(10)[:, :dim], delimiter=",")
+        code = run([
+            "eval", "--train", dataset_dir, "--test", dataset_dir,
+            "--metric", "p", "--model", w,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: need n < d <= D, got n=2, d={dim}, D=10\n"
+
 
 class TestBasisOrder:
     @pytest.mark.parametrize("order", [3, -3])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import read_matrix_csv_lines
+from ggdr import dataio
 from ggdr.dataio import (
     load_dataset,
     load_mapping,
@@ -30,12 +31,26 @@ EXTREMES = [
 FIELDS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.sampled_from(EXTREMES).map(repr),
+    # integers: orjson reads these as ints, and "-0" as the int 0
+    st.sampled_from(["0", "-0", "7", "-12", "123456789012345678901234567890"]),
     st.sampled_from([
         "nan", "-nan", "inf", "-Infinity", "1e400", "-1e400", "1_0", "1e",
         "junk", "", "0x10", ".5", "5.", "+1", "1E-5",
     ]),
 )
 LINE_END = st.sampled_from(["\n", "\r\n", "\r"])
+# any float64, the extremes among them
+FLOAT_BITS = st.lists(
+    st.one_of(
+        st.integers(0, 2**64 - 1),
+        st.sampled_from(EXTREMES).map(lambda v: int(np.float64(v).view(np.uint64))),
+    ),
+    min_size=1,
+    max_size=24,
+)
+# decimals of 15-30 significant digits, most of them between two doubles
+DIGITS = st.lists(st.integers(10**14, 10**30 - 1), min_size=1, max_size=8)
+EXPONENTS = st.lists(st.integers(-350, 270), min_size=8, max_size=8)
 NUMBER_ALPHABET = "0123456789.,-+eE _naifINF\t\r\n\x0c\x00\x1c\xa0"
 
 
@@ -95,6 +110,23 @@ class TestReaderMatchesLineOracle:
         path.write_bytes(text.encode("utf-8"))
         _assert_same_as_oracle(path)
 
+    # tiny blocks put ragged rows, blank lines and line ends across block
+    # boundaries, and give one file blocks of different widths
+    @given(text=csv_like_text(), block_bytes=st.integers(16, 64))
+    @REUSE_TMP
+    def test_csv_like_text_in_small_blocks(self, tmp_path, monkeypatch, text, block_bytes):
+        monkeypatch.setattr(dataio, "PARSE_BLOCK_BYTES", block_bytes)
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        _assert_same_as_oracle(path)
+
+    # a lone CR ends a line, as text mode reads it; JSON takes it as a space
+    @pytest.mark.parametrize("text", ["1,\r2\n", "1\r,2\n", "1,2\r3,4", "1\r2\r\n3\r"])
+    def test_lone_carriage_return(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        _assert_same_as_oracle(path)
+
     # NUL, 0x1c and NBSP: whitespace to one parser or the other, or neither
     @given(text=st.text(st.sampled_from(NUMBER_ALPHABET)))
     @settings(REUSE_TMP, max_examples=300)
@@ -117,6 +149,8 @@ class TestReaderMatchesLineOracle:
             ("1_0,2\n", [[10.0, 2.0]]),
             ("\t\n5\n", [[5.0]]),
             ("1,2\x1c\n", [[1.0, 2.0]]),
+            ("+1,.5\n5.,1e3\n", [[1.0, 0.5], [5.0, 1000.0]]),
+            ("1,2\n\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
         ],
     )
     def test_inputs_only_float_accepts(self, tmp_path, text, expected):
@@ -125,26 +159,60 @@ class TestReaderMatchesLineOracle:
         assert read_matrix_csv(path).tolist() == expected
 
 
-class TestMatrixCsvRoundTrip:
-    @given(
-        bits=st.lists(
-            st.one_of(
-                st.integers(0, 2**64 - 1),
-                st.sampled_from(EXTREMES).map(
-                    lambda v: int(np.float64(v).view(np.uint64))
-                ),
-            ),
-            min_size=1,
-            max_size=24,
-        ),
-        width=st.integers(1, 4),
+def _finite_matrix(bits, width):
+    rows = -(-len(bits) // width)
+    bits = (bits * width)[: rows * width]  # fill the last row
+    matrix = np.array(bits, dtype=np.uint64).view(np.float64).reshape(rows, width)
+    matrix[~np.isfinite(matrix)] = 1.5  # non-finite values are rejected
+    return matrix
+
+
+def _assert_native_parse_is_float(path, tokens):
+    """The native parse takes the file and reads each token as float() does."""
+    got = dataio._parse_native(path)
+    expected = np.array([[float(t) for t in row] for row in tokens])
+    assert got is not None and got.shape == expected.shape
+    assert (got.view(np.uint64) == expected.view(np.uint64)).all()
+
+
+class TestNativeParse:
+    @given(bits=FLOAT_BITS, width=st.integers(1, 4))
+    @REUSE_TMP
+    def test_repr_text_bit_equal_to_float(self, tmp_path, bits, width):
+        tokens = [list(map(repr, row.tolist())) for row in _finite_matrix(bits, width)]
+        path = tmp_path / "m.csv"
+        path.write_text("".join(",".join(row) + "\n" for row in tokens))
+        _assert_native_parse_is_float(path, tokens)
+
+    @given(digits=DIGITS, exponents=EXPONENTS, point=st.integers(1, 30))
+    @REUSE_TMP
+    def test_decimal_text_bit_equal_to_float(self, tmp_path, digits, exponents, point):
+        tokens = []
+        for d, e in zip(digits, exponents):
+            text = str(d)
+            cut = min(point, len(text) - 1)
+            tokens.append([f"{text[:cut]}.{text[cut:]}e{e}", f"-{text}E{e}"])
+        path = tmp_path / "m.csv"
+        path.write_text("".join(",".join(row) + "\n" for row in tokens))
+        _assert_native_parse_is_float(path, tokens)
+
+    @pytest.mark.parametrize(
+        "text", ["-0,1\n", "1,-0\n0,2\n", "-0\r\n-0.0\r\n0\r\n-0e0\r\n"]
     )
+    def test_integer_minus_zero_keeps_its_sign(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = [[float(v) for v in line.split(",")] for line in text.splitlines()]
+        got = read_matrix_csv(path)
+        assert np.signbit(got).tolist() == np.signbit(expected).tolist()
+        assert np.signbit(got[0, 0]) == text.startswith("-")
+
+
+class TestMatrixCsvRoundTrip:
+    @given(bits=FLOAT_BITS, width=st.integers(1, 4))
     @REUSE_TMP
     def test_write_then_read_is_bit_equal(self, tmp_path, bits, width):
-        rows = -(-len(bits) // width)
-        bits = (bits * width)[: rows * width]  # fill the last row
-        matrix = np.array(bits, dtype=np.uint64).view(np.float64).reshape(rows, width)
-        matrix[~np.isfinite(matrix)] = 1.5  # non-finite values are rejected
+        matrix = _finite_matrix(bits, width)
         path = tmp_path / "m.csv"
         write_matrix_csv(path, matrix)
         loaded = read_matrix_csv(path)
@@ -212,7 +280,8 @@ class TestMatrixCsv:
                 read_matrix_csv(path)
 
     def test_separator_byte_next_to_a_field_rejected(self, tmp_path):
-        # loadtxt would strip the 0x1c as whitespace; float() does not
+        # str.strip() takes 0x1c as whitespace at a line's ends; float() does
+        # not take it inside a line
         path = tmp_path / "bad.csv"
         path.write_text("1.0,\x1c2.0\n")
         with pytest.raises(DataFormatError, match="bad.csv:1: could not convert"):
