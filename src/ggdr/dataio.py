@@ -45,10 +45,12 @@ BASIS_REPAIR_TOL = 1e-3
 QR_BLOCK_BYTES = 1 << 20
 
 # matrix files are parsed by orjson in blocks of whole lines of about this
-# many bytes, written into one array that grows as needed: over six wide-d
-# train-then-eval rounds in one process the peak RSS read 47.0 MB, against
-# 59.3 for one parse per file, 54.6 for 1 MiB blocks and 50.1 for block
-# arrays joined at the end
+# many bytes, written into one array of the file's line count: over six
+# wide-d train-then-eval rounds in one process the peak RSS read 47.0 MB,
+# against 59.3 for one parse per file, 54.6 for 1 MiB blocks and 50.1 for
+# block arrays joined at the end. An array sized from the first block's
+# bytes per row and grown by doubling left the wide-d benchmark's peak RSS
+# 3-4 MB higher on half the seeds, by where the realloc left the heap
 PARSE_BLOCK_BYTES = 1 << 16
 
 # every byte the native parse takes; any other falls back to float()
@@ -106,7 +108,8 @@ def _parse_native(path) -> np.ndarray | None:
     zero and an integer "-0", which orjson reads as the int 0. An empty file
     gives an empty array."""
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
+        lines = _count_lines(fh)
+        fh.seek(0)
         out = None
         count = 0
         for block in _line_blocks(fh):
@@ -122,18 +125,31 @@ def _parse_native(path) -> np.ndarray | None:
             if not rows.all() and _INT_MINUS_ZERO.search(block):
                 return None
             if out is None:
-                # room for the whole file at this block's bytes per row
-                out = np.empty((len(rows) * size // len(block) + 1, rows.shape[1]))
-            elif rows.shape[1] != out.shape[1]:
+                out = np.empty((lines, rows.shape[1]))
+            # more rows than lines counted: the file changed between passes
+            if rows.shape[1] != out.shape[1] or count + len(rows) > lines:
                 return None
-            if count + len(rows) > len(out):
-                out.resize((2 * (count + len(rows)), out.shape[1]), refcheck=False)
             out[count : count + len(rows)] = rows
             count += len(rows)
     if out is None:
         return np.empty((0, 0))
-    out.resize((count, out.shape[1]), refcheck=False)
-    return out
+    return out if count == lines else None
+
+
+def _count_lines(fh) -> int:
+    """Lines from the file position on, split as text mode splits them: at
+    "\n", "\r\n" or a lone "\r"; a last line needs no line break."""
+    lines = 0
+    last = b""
+    while chunk := fh.read(PARSE_BLOCK_BYTES):
+        # numpy's compare counts about 5x faster than bytes.count
+        lines += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n")))
+        if b"\r" in chunk:
+            lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+        if last == b"\r" and chunk.startswith(b"\n"):
+            lines -= 1  # a "\r\n" split between two reads
+        last = chunk[-1:]
+    return lines + (last not in (b"", b"\n", b"\r"))
 
 
 def _line_blocks(fh):

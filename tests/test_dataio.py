@@ -196,6 +196,24 @@ class TestNativeParse:
         path.write_text("".join(",".join(row) + "\n" for row in tokens))
         _assert_native_parse_is_float(path, tokens)
 
+    # the result is sized by a first pass that counts lines; a miscount
+    # would hand a well-formed file to the line-wise reader
+    @given(
+        ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=8),
+        last_end=st.booleans(),
+        block_bytes=st.integers(1, 16),
+    )
+    @REUSE_TMP
+    def test_every_line_end_in_small_blocks(
+        self, tmp_path, monkeypatch, ends, last_end, block_bytes
+    ):
+        monkeypatch.setattr(dataio, "PARSE_BLOCK_BYTES", block_bytes)
+        tokens = [[f"{i + 1}", f"-{i}.5"] for i in range(len(ends))]
+        text = "".join(",".join(row) + end for row, end in zip(tokens, ends))
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode() if last_end else text.encode().rstrip(b"\r\n"))
+        _assert_native_parse_is_float(path, tokens)
+
     @pytest.mark.parametrize(
         "text", ["-0,1\n", "1,-0\n0,2\n", "-0\r\n-0.0\r\n0\r\n-0e0\r\n"]
     )
