@@ -10,10 +10,11 @@ Floats are serialized with round-trip-exact decimal representation, so a
 write/read cycle is bit-faithful and reruns diff clean.
 
 Reading costs one native parse per file and one batched QR per dataset,
-taken in blocks of about 1 MB. Each matrix file is read once in blocks of
-whole lines, each parsed by orjson as one JSON array of rows; its numbers
-are correctly rounded, as float() rounds them. Only a file that parse
-declines is read again line by line with float(), which either reports the
+taken in blocks of about 1 MB. A matrix file is read twice: a first pass
+counts its lines and cuts it into blocks of whole lines, then each block is
+read once and parsed by orjson as one JSON array of rows; its numbers are
+correctly rounded, as float() rounds them. Only a file that parse declines
+is read again line by line with float(), which either reports the
 offending ``path:lineno`` or accepts the few inputs only float() takes.
 Every basis file is checked on its own before the QR. Files must be UTF-8;
 any other bytes raise DataFormatError.
@@ -104,15 +105,16 @@ def _parse_native(path) -> np.ndarray | None:
     """The matrix from one orjson parse per block of whole lines, or None
     where the parse could disagree with float(): a byte outside
     _PARSE_BYTES, a text orjson rejects, a ragged block (a blank line is a
-    row of width 0), blocks of different widths, or a block holding an exact
-    zero and an integer "-0", which orjson reads as the int 0. An empty file
-    gives an empty array."""
+    row of width 0), blocks of different widths, a block holding an exact
+    zero and an integer "-0", which orjson reads as the int 0, or more rows
+    than lines counted. An empty file gives an empty array."""
     with open(path, "rb") as fh:
-        lines = _count_lines(fh)
+        lines, cuts = _line_blocks(fh)
         fh.seek(0)
         out = None
         count = 0
-        for block in _line_blocks(fh):
+        for start, end in zip(cuts, cuts[1:]):
+            block = fh.read(end - start)
             if block.translate(None, _PARSE_BYTES):
                 return None
             if b"\r" in block:  # line ends as text mode reads them
@@ -126,7 +128,8 @@ def _parse_native(path) -> np.ndarray | None:
                 return None
             if out is None:
                 out = np.empty((lines, rows.shape[1]))
-            # more rows than lines counted: the file changed between passes
+            # more rows than lines counted: a lone "\r" ended a line, or the
+            # file changed between passes
             if rows.shape[1] != out.shape[1] or count + len(rows) > lines:
                 return None
             out[count : count + len(rows)] = rows
@@ -136,35 +139,24 @@ def _parse_native(path) -> np.ndarray | None:
     return out if count == lines else None
 
 
-def _count_lines(fh) -> int:
-    """Lines from the file position on, split as text mode splits them: at
-    "\n", "\r\n" or a lone "\r"; a last line needs no line break."""
+def _line_blocks(fh) -> tuple[int, list[int]]:
+    """The file's line count and the offsets that cut it into blocks of
+    whole lines of about PARSE_BLOCK_BYTES, from 0 to its size. Lines end
+    at "\n"; a last line needs none."""
     lines = 0
-    last = b""
+    cuts = [0]
+    size = 0
     while chunk := fh.read(PARSE_BLOCK_BYTES):
         # numpy's compare counts about 5x faster than bytes.count
         lines += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n")))
-        if b"\r" in chunk:
-            lines += chunk.count(b"\r") - chunk.count(b"\r\n")
-        if last == b"\r" and chunk.startswith(b"\n"):
-            lines -= 1  # a "\r\n" split between two reads
-        last = chunk[-1:]
-    return lines + (last not in (b"", b"\n", b"\r"))
-
-
-def _line_blocks(fh):
-    """The file's bytes in blocks of whole lines of about PARSE_BLOCK_BYTES;
-    only the last block may lack a final line break."""
-    tail = b""
-    while chunk := fh.read(PARSE_BLOCK_BYTES):
         cut = chunk.rfind(b"\n") + 1
         if cut:
-            yield tail + chunk[:cut]
-            tail = chunk[cut:]
-        else:
-            tail += chunk
-    if tail:
-        yield tail
+            cuts.append(size + cut)
+        size += len(chunk)
+    if size > cuts[-1]:
+        lines += 1
+        cuts.append(size)
+    return lines, cuts
 
 
 def _read_matrix_lines(path) -> np.ndarray:

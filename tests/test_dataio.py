@@ -196,11 +196,11 @@ class TestNativeParse:
         path.write_text("".join(",".join(row) + "\n" for row in tokens))
         _assert_native_parse_is_float(path, tokens)
 
-    # the result is sized by a first pass that counts lines; a miscount
+    # the result is sized by a first pass that counts "\n"; a miscount
     # would hand a well-formed file to the line-wise reader
     @given(
-        ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=8),
-        last_end=st.booleans(),
+        ends=st.lists(st.sampled_from(["\n", "\r\n"]), max_size=7),
+        last_end=st.sampled_from(["\n", "\r\n", "\r", ""]),
         block_bytes=st.integers(1, 16),
     )
     @REUSE_TMP
@@ -208,11 +208,78 @@ class TestNativeParse:
         self, tmp_path, monkeypatch, ends, last_end, block_bytes
     ):
         monkeypatch.setattr(dataio, "PARSE_BLOCK_BYTES", block_bytes)
+        ends = ends + [last_end]
         tokens = [[f"{i + 1}", f"-{i}.5"] for i in range(len(ends))]
-        text = "".join(",".join(row) + end for row, end in zip(tokens, ends))
         path = tmp_path / "m.csv"
-        path.write_bytes(text.encode() if last_end else text.encode().rstrip(b"\r\n"))
+        text = "".join(",".join(row) + end for row, end in zip(tokens, ends))
+        path.write_text(text, newline="")
         _assert_native_parse_is_float(path, tokens)
+
+    # a lone CR before the last line ends a line in text mode but is no
+    # "\n" to the count: more rows than lines, so float() reads the file
+    @given(
+        ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=7)
+        .filter(lambda ends: "\r" in ends),
+        last_end=st.sampled_from(["\n", "\r\n", "\r", ""]),
+        block_bytes=st.integers(1, 16),
+    )
+    @REUSE_TMP
+    def test_lone_carriage_return_before_the_last_line_declines(
+        self, tmp_path, monkeypatch, ends, last_end, block_bytes
+    ):
+        monkeypatch.setattr(dataio, "PARSE_BLOCK_BYTES", block_bytes)
+        ends = ends + [last_end]
+        text = "".join(f"{i + 1},-{i}.5{end}" for i, end in enumerate(ends))
+        path = tmp_path / "m.csv"
+        path.write_text(text, newline="")
+        assert dataio._parse_native(path) is None
+        _assert_same_as_oracle(path)
+
+    # lines longer than a block: the counting pass reads a block in several
+    # chunks, the parse in one read
+    def test_lines_longer_than_a_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataio, "PARSE_BLOCK_BYTES", 16)
+        tokens = [[repr(v) for v in row.tolist()] for row in _finite_matrix(
+            [int(np.float64(v).view(np.uint64)) for v in EXTREMES], 4
+        )]
+        lines = [",".join(row) + "\n" for row in tokens]
+        path = tmp_path / "m.csv"
+        path.write_text("".join(lines))
+        with open(path, "rb") as fh:
+            cuts = np.cumsum([0] + [len(line) for line in lines]).tolist()
+            assert dataio._line_blocks(fh) == (3, cuts)
+        _assert_native_parse_is_float(path, tokens)
+
+    # the parse declines wherever its rows and the count disagree
+    @pytest.mark.parametrize("error", [-1, 1])
+    def test_miscounted_lines_decline(self, tmp_path, monkeypatch, error):
+        line_blocks = dataio._line_blocks
+
+        def miscount(fh):
+            lines, cuts = line_blocks(fh)
+            return lines + error, cuts
+
+        monkeypatch.setattr(dataio, "_line_blocks", miscount)
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, random_point(8, 2, 0).basis)
+        assert dataio._parse_native(path) is None
+        _assert_same_as_oracle(path)
+
+    # the writer's text at the bench's shapes (demo G(6, 37), large-n
+    # G(5, 200), wide-d G(4, 4096) and its 4096 x 32 map) must keep to the
+    # native parse, never the line-wise float() reader
+    def test_bench_shapes_take_the_native_path(self, tmp_path):
+        for ambient, order, signal in [(37, 6, 10), (200, 5, 10), (4096, 4, 16)]:
+            ds = synth_dataset(SynthParams(2, 1, ambient, order, 0.3, 0, signal_dim=signal))
+            save_dataset(tmp_path / f"G{order}_{ambient}", ds)
+        save_mapping(tmp_path / "W.csv", MappingMatrix(random_point(4096, 32, 0).basis))
+        paths = sorted(tmp_path.glob("*/sample_*.csv")) + [tmp_path / "W.csv"]
+        assert len(paths) == 7
+        for path in paths:
+            got = dataio._parse_native(path)
+            assert got is not None, path
+            expected = read_matrix_csv_lines(path)
+            assert (got.view(np.uint64) == expected.view(np.uint64)).all()
 
     @pytest.mark.parametrize(
         "text", ["-0,1\n", "1,-0\n0,2\n", "-0\r\n-0.0\r\n0\r\n-0e0\r\n"]
