@@ -16,8 +16,9 @@ read once and parsed by orjson as one JSON array of rows; its numbers are
 correctly rounded, as float() rounds them. Only a file that parse declines
 is read again line by line with float(), which either reports the
 offending ``path:lineno`` or accepts the few inputs only float() takes.
-Every basis file is checked on its own before the QR. Files must be UTF-8;
-any other bytes raise DataFormatError.
+Basis files are checked for orthonormality in the same blocks as the QR,
+once every file has parsed. Files must be UTF-8; any other bytes raise
+DataFormatError.
 """
 
 from __future__ import annotations
@@ -181,34 +182,16 @@ def _read_matrix_lines(path) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def _check_basis(path, matrix: np.ndarray) -> None:
-    d_ambient, order = matrix.shape
-    if order >= d_ambient:
-        raise DataFormatError(
-            f"{path}: basis must be tall (D > n), got {matrix.shape}"
-        )
-    err = gram_error(matrix)
-    if err > BASIS_REPAIR_TOL:
-        raise DataFormatError(
-            f"{path}: basis deviates from orthonormal by {err:.3e} "
-            f"(limit {BASIS_REPAIR_TOL:.0e})"
-        )
-    if err > BASIS_ACCEPT_TOL:
-        warnings.warn(
-            f"{path}: basis deviates from orthonormal by {err:.3e}; "
-            "re-orthonormalized",
-            NumericalHealthWarning,
-            stacklevel=2,
-        )
-
-
 def load_dataset(directory, order: int | None = None) -> LabeledDataset:
     """Read a dataset directory; ``order`` is required if any sample is raw.
 
     The bases go straight into one (N, D, n) array, the dataset's only copy.
-    Basis files are checked one by one, then pass through a batched QR, in
-    blocks of about QR_BLOCK_BYTES, so every loaded point meets the strict
-    invariant; below the accept rung this is a no-op up to roundoff.
+    Each file is parsed and its shape checked as it is read. Then the basis
+    rows pass, in blocks of about QR_BLOCK_BYTES, through one orthonormality
+    check and one batched QR each, so every loaded point meets the strict
+    invariant; below the accept rung this is a no-op up to roundoff. The
+    rungs are judged once every file has parsed: the first basis beyond
+    repair raises, and only a load that succeeds warns of the repaired ones.
     """
     manifest = os.path.join(directory, MANIFEST_NAME)
     if not os.path.isfile(manifest):
@@ -244,10 +227,12 @@ def load_dataset(directory, order: int | None = None) -> LabeledDataset:
     bases = None
     for k, (_, _, mode, path) in enumerate(entries):
         matrix = read_matrix_csv(path)
-        if mode == "basis":
-            _check_basis(path, matrix)
-        else:
+        if mode == "raw":
             matrix = build_subspace(matrix, order).basis
+        elif matrix.shape[1] >= matrix.shape[0]:
+            raise DataFormatError(
+                f"{path}: basis must be tall (D > n), got {matrix.shape}"
+            )
         if bases is None:
             bases = np.empty((len(entries),) + matrix.shape)
         elif matrix.shape != bases.shape[1:]:
@@ -256,10 +241,26 @@ def load_dataset(directory, order: int | None = None) -> LabeledDataset:
             )
         bases[k] = matrix
     rows = [k for k, entry in enumerate(entries) if entry[2] == "basis"]
+    errors = np.zeros(len(entries))
     step = max(1, QR_BLOCK_BYTES // bases[0].nbytes)
     for start in range(0, len(rows), step):
         block = rows[start : start + step]
-        bases[block] = orthonormalize(bases[block])[0]
+        chunk = bases[block]
+        errors[block] = gram_error(chunk)
+        bases[block] = orthonormalize(chunk)[0]
+    bad = np.flatnonzero(errors > BASIS_REPAIR_TOL)
+    if len(bad):
+        raise DataFormatError(
+            f"{entries[bad[0]][3]}: basis deviates from orthonormal by "
+            f"{errors[bad[0]]:.3e} (limit {BASIS_REPAIR_TOL:.0e})"
+        )
+    for k in np.flatnonzero(errors > BASIS_ACCEPT_TOL):
+        warnings.warn(
+            f"{entries[k][3]}: basis deviates from orthonormal by "
+            f"{errors[k]:.3e}; re-orthonormalized",
+            NumericalHealthWarning,
+            stacklevel=2,
+        )
     bases.setflags(write=False)
     ids, labels, _, _ = zip(*entries)
     return LabeledDataset(bases, labels, ids)

@@ -201,12 +201,14 @@ def pair_measure_grads(kind: MeasureKind, a: np.ndarray):
     dL/dQ1 = Q2 dA^T and dL/dQ2 = Q1 dA. For the determinant measures,
     d|det A|/dA = sign(det A) adj(A)^T (0 at the kink det A = 0), adj(A) by
     the Faddeev-LeVerrier recursion, with no inverse. Its error against the
-    SVD adjugate grows with n: 1e-14 relative for n <= 6, 3e-14 at n = 8,
-    2e-13 at 12, 6e-12 at 16. The invariant and det A come from
-    ``_invariant``, as for ``pair_measures``, so values equal it bit for
-    bit. NaN or +-inf in A gives NaN values and gradients. The Fubini-Study
-    slope is clamped away from |det A| = 1 (coincident subspaces), counted
-    under ``fubini_study_grad_clamped``.
+    SVD adjugate grows with n, which nothing bounds: over 60 pairs
+    Q2 = qr(Q1 + 0.3 G) at D = 4n + 8, G Gaussian, it reached 5e-15 relative
+    for n <= 6, 2.8e-14 at n = 8, 1.6e-12 at 12, 1.3e-10 at 16 and 2.1e-7
+    at 24. The invariant and det A come from ``_invariant``, as for
+    ``pair_measures``, so values equal it bit for bit. NaN or +-inf in A
+    gives NaN values and gradients. The Fubini-Study slope is clamped away
+    from |det A| = 1 (coincident subspaces), counted under
+    ``fubini_study_grad_clamped``.
     """
     value, slope = _TABLE[kind.value]
     n = a.shape[-1]

@@ -160,7 +160,7 @@ def build_subspace(features: np.ndarray, order: int) -> GrassmannPoint:
     """Model a feature matrix as the span of its top left singular vectors.
 
     Keeps the first ``order`` left singular vectors (descending singular
-    values).
+    values), where 1 <= order < D, the number of rows.
     A vanishing gap between singular values order and order+1 leaves the
     subspace ill-determined; that case warns but still returns the
     deterministic choice. Column signs are fixed so equal inputs give
@@ -172,6 +172,8 @@ def build_subspace(features: np.ndarray, order: int) -> GrassmannPoint:
     d_ambient, m = features.shape
     if order < 1:
         raise InvalidShape(f"order must be positive, got {order}")
+    if order >= d_ambient:
+        raise InvalidShape(f"need order < ambient dim, got {order} >= {d_ambient}")
     if m < order:
         raise InvalidShape(f"need at least {order} columns, got {m}")
     u, s, _ = np.linalg.svd(features, full_matrices=False)
@@ -222,13 +224,6 @@ def _measure_blocks(reduce, left, right, upper: bool = False):
         yield a, b, values
 
 
-def _bases(samples) -> np.ndarray:
-    """The (N, D, n) stack of samples; a LabeledDataset's is already validated."""
-    if isinstance(samples, LabeledDataset):
-        return samples.bases
-    return stack_bases(samples)
-
-
 def pairwise_dissimilarity(samples, kind: MeasureKind) -> np.ndarray:
     """Symmetric zero-diagonal dissimilarity matrix under one measure.
 
@@ -238,7 +233,7 @@ def pairwise_dissimilarity(samples, kind: MeasureKind) -> np.ndarray:
     ``samples`` are GrassmannPoints or an (N, D, n) array, as for stack_bases,
     or a LabeledDataset, whose bases are not checked again.
     """
-    bases = _bases(samples)
+    bases = stack_bases(getattr(samples, "bases", samples))
     out = np.zeros((len(bases), len(bases)))
     if not len(bases):
         return out
@@ -261,7 +256,7 @@ def _nn_predict(train: LabeledDataset, test_samples, kind: MeasureKind):
     ties going to the lowest index (``metrics.nearest_invariants``); the
     measure is then taken of the winners' s alone.
     """
-    test, bases = _bases(test_samples), train.bases
+    test, bases = stack_bases(getattr(test_samples, "bases", test_samples)), train.bases
     if not len(test):
         return [], [], []
     if test.shape[1:] != bases.shape[1:]:
@@ -496,6 +491,7 @@ def gradient_check(
             "trials and dimensions must be positive and the seed nonnegative, got "
             f"trials={trials}, D={ambient_dim}, d={target_dim}, n={order}, seed={seed}"
         )
+    check_target_dim(order, target_dim, ambient_dim)
     rng = np.random.default_rng(seed)
     graph = AffinityGraph(np.array([[0, 1], [1, 0]]), kw=1, kb=1)
     clamp_before = health_counters().get("fubini_study_grad_clamped", 0)

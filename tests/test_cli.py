@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ from ggdr import cli, pipeline
 from ggdr.cli import main
 from ggdr.dataio import load_dataset, load_mapping
 from ggdr.metrics import MeasureKind, measure
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(args):
@@ -100,6 +106,44 @@ class TestTrain:
         # the trace header is unchanged; the count follows from its rows
         accepted = [int(r[4]) + 1 for r in rows if float(r[3]) > 0]
         assert int(fields["evaluations"]) == 1 + len(accepted) + sum(accepted)
+
+    def test_span_fit_reruns_bit_identical_at_one_blas_thread(self, tmp_path):
+        # README promises equal bytes for the same flags, seed and BLAS
+        # thread count; G(3, 300) -> d = 8 fits in the span of [W0, X]
+        data = tmp_path / "ds"
+        assert run(synth_args(data, ambient=300, order=3)) == 0
+        ds = load_dataset(data)
+        assert pipeline._span_basis(np.eye(300, 8), ds.bases) is not None
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["MKL_NUM_THREADS"] = "1"
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")])
+        )
+        outputs = []
+        for k in range(2):
+            w, trace = tmp_path / f"w{k}.csv", tmp_path / f"t{k}.csv"
+            args = [
+                "train", "--data", data, "--metric", "pk", "--dim", 8,
+                "--max-iter", 15, "--rel-tol", 0, "--grad-tol", 0,
+                "--out", w, "--trace", trace,
+            ]
+            done = subprocess.run(
+                [sys.executable, "-m", "ggdr.cli", *map(str, args)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append((w.read_bytes(), trace.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_unknown_init(self, tmp_path, dataset_dir, capsys):
+        out = tmp_path / "w.csv"
+        assert run([
+            "train", "--data", dataset_dir, "--metric", "p", "--dim", 4,
+            "--init", "other", "--out", out,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --init must be identity or random, got 'other'\n"
+        assert not out.exists()
 
     def test_missing_dataset(self, tmp_path):
         code = run([
@@ -539,6 +583,17 @@ class TestEval:
         ])
         assert code == 2
 
+    def test_train_and_test_of_different_ambient_dims(self, tmp_path, dataset_dir, capsys):
+        other = tmp_path / "other"
+        assert run(synth_args(other, ambient=12)) == 0
+        capsys.readouterr()
+        assert run([
+            "eval", "--train", dataset_dir, "--test", other, "--metric", "p",
+        ]) == 2
+        out = capsys.readouterr()
+        assert out.err == "error: test sample shape (12, 2), train shape (10, 2)\n"
+        assert out.out == ""
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_model_dim_not_above_order(self, tmp_path, dataset_dir, capsys, dim):
         # a D x d map with d <= n sends every order-n point to one point
@@ -597,6 +652,30 @@ class TestRawOrder:
             assert run(args) == 2
             out = capsys.readouterr()
             assert out.err == f"error: order must be positive, got {order}\n"
+            assert out.out == ""
+
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_order_not_below_the_row_count(self, tmp_path, capsys, order):
+        # 3 x 8 feature matrices: at order 5 the SVD has only 3 singular values
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        rng = np.random.default_rng(5)
+        rows = []
+        for k in range(6):
+            np.savetxt(raw / f"f{k}.csv", rng.standard_normal((3, 8)), delimiter=",")
+            rows.append(f"s{k}\t{'AB'[k % 2]}\traw\tf{k}.csv\n")
+        (raw / "manifest.tsv").write_text("".join(rows))
+        train = [
+            "train", "--data", raw, "--metric", "p", "--dim", 2,
+            "--order", order, "--out", tmp_path / "w.csv",
+        ]
+        evaluate = [
+            "eval", "--train", raw, "--test", raw, "--metric", "p", "--order", order,
+        ]
+        for args in (train, evaluate):
+            assert run(args) == 2
+            out = capsys.readouterr()
+            assert out.err == f"error: need order < ambient dim, got {order} >= 3\n"
             assert out.out == ""
 
     def test_positive_order(self, raw_dataset_dir, capsys):
@@ -672,6 +751,14 @@ class TestGradcheck:
         assert run(["gradcheck", "--metric", "p", "--dim", 2, "--order", 2]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_dim_above_ambient(self, capsys):
+        assert run([
+            "gradcheck", "--metric", "p", "--ambient", 4, "--dim", 5, "--order", 2,
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: need n < d <= D, got n=2, d=5, D=4\n"
+        assert captured.out == ""
 
     def test_all_metrics_small(self):
         assert run(["gradcheck", "--metric", "all", "--trials", 2]) == 0

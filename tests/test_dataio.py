@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import read_matrix_csv_lines
-from ggdr import dataio
+from ggdr import dataio, manifold
 from ggdr.dataio import (
     load_dataset,
     load_mapping,
@@ -482,6 +482,36 @@ class TestDatasetRoundTrip:
         with pytest.raises(DataFormatError, match="order"):
             load_dataset(d)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 4)])
+    def test_basis_not_tall_rejected(self, tmp_path, shape):
+        d = tmp_path / "ds"
+        d.mkdir()
+        write_matrix_csv(d / "s.csv", np.eye(*shape))
+        (d / "manifest.tsv").write_text("s0\tA\tbasis\ts.csv\n")
+        message = rf"s\.csv: basis must be tall \(D > n\), got \(3, {shape[1]}\)"
+        with pytest.raises(DataFormatError, match=message):
+            load_dataset(d)
+
+    def test_comment_and_blank_manifest_lines_skipped(self, tmp_path):
+        save_dataset(tmp_path / "ds", synth_dataset(SynthParams(2, 2, 8, 2, 0.2, 4)))
+        plain = load_dataset(tmp_path / "ds")
+        manifest = tmp_path / "ds" / "manifest.tsv"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text(
+            "# id\tlabel\tmode\tpath\n\n" + lines[0] + "  # note\n \t\n"
+            + "".join(lines[1:])
+        )
+        loaded = load_dataset(tmp_path / "ds")
+        assert (loaded.provenance, loaded.labels) == (plain.provenance, plain.labels)
+        assert loaded.bases.tobytes() == plain.bases.tobytes()
+
+    def test_manifest_of_comments_and_blanks_only(self, tmp_path):
+        d = tmp_path / "ds"
+        d.mkdir()
+        (d / "manifest.tsv").write_text("# nothing here\n\n  \t\n  # s0\tA\n")
+        with pytest.raises(DataFormatError, match="manifest.tsv: no samples listed"):
+            load_dataset(d)
+
 
 class TestBasisToleranceLadder:
     def _write(self, tmp_path, basis):
@@ -518,7 +548,8 @@ def _same_bits(a, b):
 
 
 class TestBatchedLoad:
-    """Per-file checks, then one QR over the basis rows of the stack."""
+    """Each file parsed and shape-checked, then one orthonormality check and
+    one QR per block of basis rows."""
 
     def _write(self, tmp_path, matrices, modes=None):
         d = tmp_path / "ds"
@@ -548,6 +579,52 @@ class TestBatchedLoad:
         assert len(messages) == 1 and "s1.csv: basis deviates" in messages[0]
         expected, _ = orthonormalize(read_matrix_csv(d / "s1.csv"))
         assert _same_bits(ds.bases[1], expected)
+
+    def test_format_errors_come_before_orthonormality(self, tmp_path, recwarn):
+        # s1 repairable and s2 beyond repair, but s4 does not parse: every
+        # file parses before any basis is judged, so s4 is reported and
+        # nothing warns
+        bases = [random_point(8, 2, k).basis.copy() for k in range(5)]
+        bases[1][0, 0] += 1e-4
+        bases[2][:, 0] *= 1.2
+        d = self._write(tmp_path, bases)
+        lines = (d / "s4.csv").read_text().splitlines()
+        lines[1] = lines[1].split(",")[0] + ",junk"
+        (d / "s4.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match=r"s4\.csv:2: "):
+            load_dataset(d)
+        assert not [w for w in recwarn if w.category is NumericalHealthWarning]
+
+    def test_failed_load_warns_nothing(self, tmp_path, monkeypatch, recwarn):
+        # the repairable s0 and the beyond-repair s3 lie in different blocks
+        bases = [random_point(8, 2, k).basis.copy() for k in range(4)]
+        bases[0][0, 0] += 1e-4
+        bases[3][:, 0] *= 1.2
+        d = self._write(tmp_path, bases)
+        monkeypatch.setattr(dataio, "QR_BLOCK_BYTES", 2 * bases[0].nbytes)
+        with pytest.raises(DataFormatError, match=r"s3\.csv: basis deviates"):
+            load_dataset(d)
+        assert not [w for w in recwarn if w.category is NumericalHealthWarning]
+
+    def test_one_gram_error_per_qr_block(self, tmp_path, monkeypatch):
+        # blocks of 3 and 2 basis files, then the LabeledDataset's one check
+        # of the whole stack
+        bases = [random_point(8, 2, k).basis for k in range(5)]
+        d = self._write(tmp_path, bases)
+        monkeypatch.setattr(dataio, "QR_BLOCK_BYTES", 3 * bases[0].nbytes)
+        calls = []
+        gram_error = manifold.gram_error
+        for name, module in [("dataio", dataio), ("manifold", manifold)]:
+            monkeypatch.setattr(
+                module,
+                "gram_error",
+                lambda b, name=name: (calls.append((name, len(b))), gram_error(b))[1],
+            )
+        ds = load_dataset(d)
+        assert calls == [("dataio", 3), ("dataio", 2), ("manifold", 5)]
+        for k in range(ds.size):
+            expected, _ = orthonormalize(read_matrix_csv(d / f"s{k}.csv"))
+            assert _same_bits(ds.bases[k], expected)
 
     def test_mixed_raw_and_basis_manifest(self, tmp_path, rng):
         matrices = [

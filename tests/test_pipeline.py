@@ -203,6 +203,12 @@ class TestBuildSubspace:
         with pytest.raises(InvalidShape):
             build_subspace(np.eye(5)[:, :2], 3)
 
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_order_not_below_the_row_count(self, rng, order):
+        # 3 x 8 features have 3 singular values: order 5 once indexed past them
+        with pytest.raises(InvalidShape, match=f"got {order} >= 3"):
+            build_subspace(rng.standard_normal((3, 8)), order)
+
 
 class TestNnClassify:
     def test_exact_match_wins(self):
@@ -736,6 +742,37 @@ class TestSpanFit:
         fitted = fit(train, kind, 8, opts=SPAN_OPTS)
         assert minimize_calls == [(ambient, 8 * 292)]
         assert_same_fit(fitted, oracle_fit(train, kind, 8))
+
+
+    def test_ill_conditioned_span_declines_by_its_estimate(
+        self, minimize_calls, monkeypatch
+    ):
+        # a sample repeated at a perturbation of 3e-9: the Cholesky of
+        # [W0, X]^T [W0, X] succeeds, but ||R||_F ||R^-1||_F reads 2.5e8,
+        # over SPAN_COND_LIMIT (6.7e7)
+        ds = synth_dataset(SynthParams(2, 3, 512, 4, 0.3, 2))
+        bases = ds.bases.copy()
+        noise = np.random.default_rng(0).standard_normal(bases[0].shape)
+        bases[1], _ = orthonormalize(bases[0] + 3e-9 * noise)
+        train = LabeledDataset(bases, ds.labels, ds.provenance)
+        factors = []
+        cholesky = np.linalg.cholesky
+
+        def spy(a, **kwargs):
+            factors.append(None)
+            factors[-1] = cholesky(a, **kwargs)
+            return factors[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "cholesky", spy)
+            assert pipeline._span_basis(np.eye(512, 8), train.bases) is None
+        assert len(factors) == 1 and factors[0] is not None
+        r = factors[0]
+        estimate = np.linalg.norm(r) * np.linalg.norm(np.linalg.inv(r))
+        assert estimate >= pipeline.SPAN_COND_LIMIT
+        w, _, _ = fit(train, MeasureKind.PROJECTION_SQ, 8, opts=SPAN_OPTS)
+        assert minimize_calls == [(512, 8 * 504)]
+        assert np.linalg.norm(w.w.T @ w.w - np.eye(8)) <= 1e-12
 
 
 class TestFitChecks:
