@@ -190,8 +190,9 @@ def load_dataset(directory, order: int | None = None) -> LabeledDataset:
     rows pass, in blocks of about QR_BLOCK_BYTES, through one orthonormality
     check and one batched QR each, so every loaded point meets the strict
     invariant; below the accept rung this is a no-op up to roundoff. The
-    rungs are judged once every file has parsed: the first basis beyond
-    repair raises, and only a load that succeeds warns of the repaired ones.
+    rungs are judged once every file has parsed, each block before its QR:
+    the first basis beyond repair raises (a rank-deficient one included),
+    and only a load that succeeds warns of the repaired ones.
     """
     manifest = os.path.join(directory, MANIFEST_NAME)
     if not os.path.isfile(manifest):
@@ -241,26 +242,23 @@ def load_dataset(directory, order: int | None = None) -> LabeledDataset:
             )
         bases[k] = matrix
     rows = [k for k, entry in enumerate(entries) if entry[2] == "basis"]
-    errors = np.zeros(len(entries))
+    repaired = []
     step = max(1, QR_BLOCK_BYTES // bases[0].nbytes)
     for start in range(0, len(rows), step):
         block = rows[start : start + step]
         chunk = bases[block]
-        errors[block] = gram_error(chunk)
+        # judged before the QR, which would reject a rank-deficient file
+        # without naming it
+        for k, err in zip(block, gram_error(chunk)):
+            if err > BASIS_ACCEPT_TOL:
+                path = entries[k][3]
+                message = f"{path}: basis deviates from orthonormal by {err:.3e}"
+                if err > BASIS_REPAIR_TOL:
+                    raise DataFormatError(f"{message} (limit {BASIS_REPAIR_TOL:.0e})")
+                repaired.append(f"{message}; re-orthonormalized")
         bases[block] = orthonormalize(chunk)[0]
-    bad = np.flatnonzero(errors > BASIS_REPAIR_TOL)
-    if len(bad):
-        raise DataFormatError(
-            f"{entries[bad[0]][3]}: basis deviates from orthonormal by "
-            f"{errors[bad[0]]:.3e} (limit {BASIS_REPAIR_TOL:.0e})"
-        )
-    for k in np.flatnonzero(errors > BASIS_ACCEPT_TOL):
-        warnings.warn(
-            f"{entries[k][3]}: basis deviates from orthonormal by "
-            f"{errors[k]:.3e}; re-orthonormalized",
-            NumericalHealthWarning,
-            stacklevel=2,
-        )
+    for message in repaired:
+        warnings.warn(message, NumericalHealthWarning, stacklevel=2)
     bases.setflags(write=False)
     ids, labels, _, _ = zip(*entries)
     return LabeledDataset(bases, labels, ids)

@@ -559,6 +559,20 @@ class TestEval:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("fault", ["zero column", "repeated column"])
+    def test_rank_deficient_basis_file_exits_1(self, dataset_dir, capsys, fault):
+        victim = dataset_dir / "sample_0003.csv"
+        basis = np.loadtxt(victim, delimiter=",")
+        basis[:, 1] = 0.0 if fault == "zero column" else basis[:, 0]
+        np.savetxt(victim, basis, delimiter=",")
+        code = run([
+            "eval", "--train", dataset_dir, "--test", dataset_dir, "--metric", "p",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {victim}: basis deviates from orthonormal")
+        assert err.count("\n") == 1
+
     def test_linalg_error_is_numerical_exit(self, dataset_dir, monkeypatch):
         def fail(*args):
             raise np.linalg.LinAlgError("SVD did not converge")

@@ -606,6 +606,32 @@ class TestBatchedLoad:
             load_dataset(d)
         assert not [w for w in recwarn if w.category is NumericalHealthWarning]
 
+    @pytest.mark.parametrize("fault", ["zero column", "repeated column", "all zero"])
+    def test_rank_deficient_basis_names_its_file(self, tmp_path, recwarn, fault):
+        # judged before the QR, which would raise RankDeficient naming only
+        # a block index; the repairable s0 in the same block warns nothing
+        bases = [random_point(8, 2, k).basis.copy() for k in range(4)]
+        bases[0][0, 0] += 1e-4
+        if fault == "zero column":
+            bases[2][:, 1] = 0.0
+        elif fault == "repeated column":
+            bases[2][:, 1] = bases[2][:, 0]
+        else:
+            bases[2][:] = 0.0
+        d = self._write(tmp_path, bases)
+        with pytest.raises(DataFormatError, match=r"s2\.csv: basis deviates.*limit"):
+            load_dataset(d)
+        assert not [w for w in recwarn if w.category is NumericalHealthWarning]
+
+    def test_first_file_beyond_repair_in_a_block_is_reported(self, tmp_path):
+        # a full-rank s1 beyond repair comes before a rank-deficient s3
+        bases = [random_point(8, 2, k).basis.copy() for k in range(4)]
+        bases[1][:, 0] *= 1.2
+        bases[3][:, 1] = 0.0
+        d = self._write(tmp_path, bases)
+        with pytest.raises(DataFormatError, match=r"s1\.csv: basis deviates"):
+            load_dataset(d)
+
     def test_one_gram_error_per_qr_block(self, tmp_path, monkeypatch):
         # blocks of 3 and 2 basis files, then the LabeledDataset's one check
         # of the whole stack
